@@ -101,6 +101,13 @@ class SyntheticClusterTask:
         # the disjointness contract is checked, not assumed
         train_keys = {row.tobytes() for row in self.train_tokens}
         keep = np.array([row.tobytes() not in train_keys for row in self.val_tokens])
+        if not keep.any():
+            s = self.spec
+            raise ValueError(
+                f"empty validation split: all {s.val_size} validation rows also occur among the "
+                f"{s.train_size} training rows (seq_len {s.seq_len}, vocab_size {s.vocab_size}, "
+                f"noise {s.noise}, seed {s.seed}); use a longer sequence, a larger vocabulary "
+                f"or more noise")
         if not keep.all():
             self.val_tokens = self.val_tokens[keep]
             self.val_labels = self.val_labels[keep]

@@ -341,8 +341,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU x*Phi(x) (erf form, not the tanh approximation)."""
+    """Gaussian-CDF GELU x*Phi(x) (erf form, not the tanh approximation).
+
+    float64 uses scipy's erf and is the reference. float32 uses the clamped
+    rational erf of Eigen and XLA, within 5e-7*max(1, |x|) of the float64
+    result.
+    """
     x = a.data
+    if x.dtype == np.float32:
+        return _gelu_f32(a)
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf
 
@@ -351,6 +358,75 @@ def gelu(a: Tensor) -> Tensor:
         return (g * (cdf + x * pdf),)
 
     return Tensor._from_op(out, (a,), vjp)
+
+
+# Eigen's generic_fast_erf_float: erf(z) = z*P(z^2)/Q(z^2) on z clamped to
+# [-4, 4], beyond which erf is +-1 in float32. Monomial coefficients from the
+# highest power down. P is stored halved (exact in binary), so the quotient is
+# erf(z)/2 and Phi = 0.5 + quotient, bit for bit 0.5*(1 + erf(z)).
+_ERF_P_HALF = np.float32(0.5) * np.array(
+    [-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+     -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array(
+    [-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+_GELU_BLOCK = 1 << 16  # elements per pass: three float32 scratch blocks stay in L2
+
+
+def _horner(coeffs: np.ndarray, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(z2, coeffs[0], out=out)
+    np.add(out, coeffs[1], out=out)
+    for c in coeffs[2:]:
+        np.multiply(out, z2, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _gelu_f32(a: Tensor) -> Tensor:
+    """float32 GELU in flat blocks with in-place ufuncs: no full-size temporaries.
+
+    The CDF is kept for the vjp only when the op is recorded on the tape.
+    """
+    xf = a.data.reshape(-1)
+    n = xf.size
+    out = np.empty_like(xf)
+    record = _grad_enabled and a.requires_grad
+    cdf = np.empty_like(xf) if record else None
+    m = min(n, _GELU_BLOCK)
+    z_buf, z2_buf, p_buf = (np.empty(m, np.float32) for _ in range(3))
+    for s in range(0, n, _GELU_BLOCK):
+        blk = slice(s, min(s + _GELU_BLOCK, n))
+        k = blk.stop - s
+        x, z, z2, p = xf[blk], z_buf[:k], z2_buf[:k], p_buf[:k]
+        np.multiply(x, _INV_SQRT2, out=z)
+        np.clip(z, -4.0, 4.0, out=z)
+        np.multiply(z, z, out=z2)
+        np.multiply(_horner(_ERF_P_HALF, z2, p), z, out=p)
+        q = _horner(_ERF_Q, z2, z)
+        phi = cdf[blk] if record else z
+        np.divide(p, q, out=phi)
+        np.add(phi, 0.5, out=phi)
+        np.multiply(x, phi, out=out[blk])
+
+    def vjp(g):
+        # g * (Phi + x * exp(-x^2/2) / sqrt(2*pi)), block by block
+        gf = g.reshape(-1)
+        dx = np.empty_like(xf)
+        t_buf = np.empty(m, np.float32)
+        for s in range(0, n, _GELU_BLOCK):
+            blk = slice(s, min(s + _GELU_BLOCK, n))
+            x, t = xf[blk], t_buf[: blk.stop - s]
+            np.multiply(x, x, out=t)
+            np.multiply(t, -0.5, out=t)
+            np.exp(t, out=t)
+            np.multiply(t, x, out=t)
+            np.multiply(t, _INV_SQRT2PI, out=t)
+            np.add(t, cdf[blk], out=t)
+            np.multiply(t, gf[blk], out=dx[blk])
+        return (dx.reshape(a.shape),)
+
+    return Tensor._from_op(out.reshape(a.shape), (a,), vjp)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -76,6 +76,15 @@ class TestTrainCommand:
         assert code == 1
         assert "num_experts" in capsys.readouterr().err
 
+    def test_empty_validation_split_fails_before_training(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        text = cfg.read_text().replace("seq_len = 8", "seq_len = 4").replace("vocab_size = 16", "vocab_size = 7")
+        cfg.write_text(text.replace("num_classes = 4", "num_classes = 3").replace("seed = 2", "seed = 15"))
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "empty validation split" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_nonempty_out_dir_requires_force(self, tmp_path, capsys):
         code, out = train(tmp_path)
         assert code == 0

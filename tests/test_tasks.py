@@ -44,6 +44,14 @@ class TestSyntheticCluster:
         train_keys = {row.tobytes() for row in t.train_tokens}
         assert all(row.tobytes() not in train_keys for row in t.val_tokens)
 
+    def test_empty_validation_split_rejected_at_build(self):
+        # short sequences over a small vocabulary: at seed 15 every validation
+        # row also occurs in the training split
+        spec = TaskSpec(seq_len=4, vocab_size=7, num_classes=3, noise=0.25,
+                        train_size=256, val_size=64, seed=15)
+        with pytest.raises(ValueError, match="all 64 validation rows .* 256 training rows"):
+            SyntheticClusterTask(spec)
+
     def test_batches_deterministic_per_step(self):
         t = SyntheticClusterTask(TaskSpec(seed=3))
         x1, y1 = t.batch(7, 16)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from exfusion import tensor as T
 from exfusion.tensor import (
@@ -272,6 +273,93 @@ class TestBackward:
         assert l1.tobytes() == l2.tobytes()
         assert ga1.tobytes() == ga2.tobytes()
         assert gb1.tobytes() == gb2.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# GELU: float32 rational erf against the float64 scipy reference
+# ---------------------------------------------------------------------------
+
+
+def _gelu64_ref(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x * (0.5 * (1.0 + erf(x * T._INV_SQRT2)))
+
+
+class TestGelu:
+    def test_f32_error_bound(self):
+        edge = np.float32(4.0 * math.sqrt(2.0))  # where the erf argument is clamped
+        near_edge = [edge]
+        for direction in (np.inf, -np.inf):
+            v = edge
+            for _ in range(8):
+                v = np.nextafter(v, np.float32(direction))
+                near_edge.append(v)
+        near_edge = np.array(near_edge, dtype=np.float32)
+        x = np.concatenate([
+            np.linspace(-12, 12, 480_001).astype(np.float32),
+            near_edge, -near_edge,
+            np.array([1e4, -1e4], dtype=np.float32),
+        ])
+        got = gelu(Tensor(x)).data
+        assert got.dtype == np.float32
+        err = np.abs(got.astype(np.float64) - _gelu64_ref(x))
+        bound = 5e-7 * np.maximum(1.0, np.abs(x.astype(np.float64)))
+        assert (err <= bound).all(), f"worst x={x[np.argmax(err / bound)]}, err={err.max():.3e}"
+
+    def test_f32_bits_independent_of_layout_and_block_offset(self):
+        rng = np.random.default_rng(0)
+        x = (rng.normal(size=(8, 16, 64)) * 3).astype(np.float32)
+        base = gelu(Tensor(x)).data
+        view = x.transpose(2, 0, 1)
+        assert not view.flags.c_contiguous
+        assert gelu(Tensor(view)).data.tobytes() == np.ascontiguousarray(base.transpose(2, 0, 1)).tobytes()
+
+        n = 2 * T._GELU_BLOCK + 1234  # not a multiple of the block
+        y = (rng.normal(size=n) * 4).astype(np.float32)
+        full = gelu(Tensor(y)).data
+        for offset in (1, 777, T._GELU_BLOCK - 5):
+            assert gelu(Tensor(y[offset:])).data.tobytes() == full[offset:].tobytes()
+        assert gelu(Tensor(y[-3:].copy())).data.tobytes() == full[-3:].tobytes()
+
+    def test_f32_no_grad_output_equals_recorded(self):
+        x = Tensor((np.random.default_rng(1).normal(size=(3, 50_000)) * 3).astype(np.float32),
+                   requires_grad=True)
+        recorded = gelu(x)
+        with no_grad():
+            evaluated = gelu(x)
+        assert recorded._vjp is not None and evaluated._vjp is None
+        assert recorded.data.tobytes() == evaluated.data.tobytes()
+
+    def test_f32_vjp_matches_formula(self):
+        rng = np.random.default_rng(2)
+        x = np.concatenate([np.linspace(-12, 12, 150_001), rng.normal(size=20_000) * 3])
+        x = x.astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        got = gelu(Tensor(x, requires_grad=True))._vjp(g)[0]
+        assert got.dtype == np.float32
+        x64, g64 = x.astype(np.float64), g.astype(np.float64)
+        deriv = 0.5 * (1.0 + erf(x64 * T._INV_SQRT2)) + x64 * np.exp(-0.5 * x64 * x64) * T._INV_SQRT2PI
+        err = np.abs(got - g64 * deriv)
+        assert (err <= 1e-6 * np.abs(g64) * np.maximum(1.0, np.abs(deriv))).all()
+
+    def test_f64_forward_and_vjp_are_the_scipy_formula(self):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(size=10_000) * 3, [0.0, -40.0, 40.0]])
+        g = rng.normal(size=x.shape)
+        y = gelu(Tensor(x, requires_grad=True))
+        cdf = 0.5 * (1.0 + erf(x * T._INV_SQRT2))
+        assert y.data.tobytes() == (x * cdf).tobytes()
+        pdf = np.exp(-0.5 * x * x) * T._INV_SQRT2PI
+        assert y._vjp(g)[0].tobytes() == (g * (cdf + x * pdf)).tobytes()
+
+    def test_scipy_erf_sees_only_float64(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(T, "erf", lambda z: seen.append(z.dtype) or erf(z))
+        x = Tensor(np.linspace(-3, 3, 11, dtype=np.float32), requires_grad=True)
+        tsum(gelu(x)).backward()
+        assert seen == []
+        gelu(Tensor(np.linspace(-3, 3, 11), dtype="f64"))
+        assert seen == [np.dtype(np.float64)]
 
 
 # ---------------------------------------------------------------------------
