@@ -20,7 +20,6 @@ _API = {
     "NonFiniteError": "tensor",
     "ModelSpec": "model",
     "Model": "model",
-    "build_model": "model",
     "collapse_to_dense": "model",
     "expected_param_count": "model",
     "fuse": "fusion",

@@ -15,6 +15,8 @@ a version mismatch refuses to load.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -64,10 +66,6 @@ def meta_int(meta: dict, key: str) -> int:
     return int(meta[key][0])
 
 
-def meta_float(meta: dict, key: str) -> float:
-    return float(meta[key][0])
-
-
 def _write_record(fh, name: str, arr: np.ndarray) -> None:
     if arr.dtype not in _CODES:
         raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
@@ -95,20 +93,23 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = N
     tmp.replace(path)
 
 
-def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError("truncated checkpoint")
-    return buf
-
-
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Load (tensors, meta). Meta values come back as raw arrays; use the
-    ``meta_*`` helpers to decode them."""
+    ``meta_*`` helpers to decode them. Each declared length is checked
+    against the bytes left in the file before it is read."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read_exact(n: int) -> bytes:
+            left = size - fh.tell()
+            if n > left:
+                raise CheckpointError(
+                    f"{path}: truncated checkpoint ({n} bytes declared, {left} left)")
+            return fh.read(n)
+
+        if read_exact(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        version, count = struct.unpack("<II", _read_exact(fh, 8))
+        version, count = struct.unpack("<II", read_exact(8))
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: version mismatch (file v{version}, reader v{VERSION}); refusing to load"
@@ -116,15 +117,15 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
         tensors: dict[str, np.ndarray] = {}
         meta: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            code, rank = struct.unpack("<BB", _read_exact(fh, 2))
+            (name_len,) = struct.unpack("<I", read_exact(4))
+            name = read_exact(name_len).decode("utf-8")
+            code, rank = struct.unpack("<BB", read_exact(2))
             if code not in _DTYPES:
                 raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
-            dims = tuple(struct.unpack("<Q", _read_exact(fh, 8))[0] for _ in range(rank))
+            dims = tuple(struct.unpack("<Q", read_exact(8))[0] for _ in range(rank))
             dtype = _DTYPES[code]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-            arr = np.frombuffer(_read_exact(fh, nbytes), dtype=dtype.newbyteorder("<")).astype(dtype)
+            nbytes = math.prod(dims) * dtype.itemsize
+            arr = np.frombuffer(read_exact(nbytes), dtype=dtype.newbyteorder("<")).astype(dtype)
             arr = arr.reshape(dims)
             if name.startswith("meta/"):
                 meta[name[len("meta/"):]] = arr
@@ -151,8 +152,6 @@ def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
         "format": "model",
         "model_spec": model.spec.to_dict(),
         "dtype": model.dtype,
-        "variant": model.spec.variant,
-        "delta": float(model.spec.momentum),
         "step": int(step),
     }
     if extra_meta:
@@ -174,7 +173,10 @@ def load_model_checkpoint(path) -> LoadedModel:
     tensors, meta = read_checkpoint(path)
     if "model_spec" not in meta:
         raise CheckpointError(f"{path}: missing model_spec metadata")
-    spec = ModelSpec.from_dict(meta_json(meta, "model_spec"))
+    try:
+        spec = ModelSpec.from_dict(meta_json(meta, "model_spec"))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: model_spec cannot be rebuilt: {exc}") from None
     model = Model(spec, dtype=meta_str(meta, "dtype"))
     opt_arrays = {k: v for k, v in tensors.items() if k.startswith("opt/")}
     state = {k: v for k, v in tensors.items() if not k.startswith("opt/")}

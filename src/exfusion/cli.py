@@ -46,7 +46,9 @@ def cmd_train(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force and args.resume is None:
         raise ConfigError(f"output directory {out} is not empty (pass --force to reuse it)")
     out.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(out / "resolved_config.ini", run)
+    resolved = out / "resolved_config.ini"
+    if args.resume is None or not resolved.exists():  # a resume must keep the stored settings
+        write_resolved_config(resolved, run)
     result = train_loop(run.model, run.task, run.train, out,
                         resume_from=args.resume, echo=print)
     metric_name = "accuracy" if run.model.objective == "classification" else "perplexity"

@@ -55,7 +55,7 @@ MODEL_KEYS = {
     "depth": int, "dim": int, "heads": int, "expansion": int,
     "variant": str, "num_experts": int, "top_k": int, "momentum": float,
     "replaced_layers": "layers", "shared_router": bool, "expert_init": str,
-    "mb_update_order": str, "freeze_fusion_weights": bool, "seed": int,
+    "freeze_fusion_weights": bool, "seed": int,
 }
 
 TASK_KEYS = {

@@ -93,19 +93,19 @@ def ema_update(bank: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
 
 
 class StaticFusion:
-    """Constant uniform fusion weights; the N=1 case is a plain dense layer."""
+    """Constant uniform fusion weights; the N=1 case is a plain dense layer.
 
-    kind = "static"
+    The weight tensor never takes a gradient, so one instance serves every step.
+    """
 
     def __init__(self, n: int, dtype):
-        self.n = n
-        self._weights = uniform_weights(n, dtype)
+        self._weights = Tensor(uniform_weights(n, dtype))
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
-        return Tensor(self._weights)
+        return self._weights
 
     def export_weights(self) -> np.ndarray:
-        return self._weights.copy()
+        return self._weights.data.copy()
 
     def named_parameters(self):
         return []
@@ -117,11 +117,8 @@ class StaticFusion:
 class LearnedFusion:
     """One trainable weight vector shared by the up and down sets of a layer."""
 
-    kind = "learned"
-
     def __init__(self, name: str, n: int, dtype, frozen: bool = False):
         self.name = name
-        self.n = n
         self.weights = Tensor(uniform_weights(n, dtype), requires_grad=not frozen)
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
@@ -140,38 +137,28 @@ class LearnedFusion:
 class MemoryFusion:
     """Router-scored fusion weights smoothed by a momentum bank.
 
-    The bank starts at zeros and is mutated only during training forwards.
+    The bank starts at zeros and is updated in place, only during training
+    forwards, so the array handed out by ``named_buffers`` stays current.
     The stored history is a constant for gradient purposes; the fresh
-    ``(1 - delta) * w`` term keeps the router trainable. With
-    ``update_order='fuse_then_update'`` the pre-update bank fuses the step
-    instead (diagnostic only: the router then receives no gradient).
+    ``(1 - delta) * w`` term keeps the router trainable. The eval path puts
+    a copy of the bank on the tape, since tape data must not change.
     """
 
-    kind = "memory"
-
-    def __init__(self, name: str, router: Router, delta: float, dtype,
-                 update_order: str = "update_then_fuse"):
+    def __init__(self, name: str, router: Router, delta: float, dtype):
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"momentum delta must be in [0, 1); got {delta}")
-        if update_order not in ("update_then_fuse", "fuse_then_update"):
-            raise ValueError(f"unknown update_order {update_order!r}")
         self.name = name
         self.router = router
         self.delta = delta
-        self.update_order = update_order
         self.bank = np.zeros(router.n_experts, dtype=as_np_dtype(dtype))
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         if not training:
-            return Tensor(self.bank)
+            return Tensor(self.bank.copy())
         w = router_fusion_weights(x, self.router)
-        if self.update_order == "update_then_fuse":
-            m = add(Tensor(self.delta * self.bank), scale(w, 1.0 - self.delta))
-            self.bank = m.data.copy()
-            return m
-        old = Tensor(self.bank.copy())
-        self.bank = ema_update(self.bank, w.data, self.delta)
-        return old
+        m = add(Tensor(self.delta * self.bank), scale(w, 1.0 - self.delta))
+        self.bank[...] = m.data
+        return m
 
     def export_weights(self) -> np.ndarray:
         return self.bank.copy()

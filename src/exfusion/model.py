@@ -1,10 +1,11 @@
 """Minimal pre-norm Transformer encoder with pluggable FFN slots.
 
 Each block is ``x + attn(ln(x))`` then ``x + ffn(ln(x))``. The FFN slot is
-either a plain dense layer, a token-routed top-k mixture, or a set of
-experts fused by static / learned / memory-bank weights. Non-replaced
-layers always hold a dense slot. Classification pools the sequence mean;
-language modeling applies a causal mask and per-position logits.
+either a token-routed top-k mixture or a set of experts fused by static /
+learned / memory-bank weights; a dense slot is the one-expert static
+fusion. Non-replaced layers always hold a dense slot. Classification pools
+the sequence mean; language modeling applies a causal mask and
+per-position logits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import fusion as F
 from .moe import Router, topk_moe_forward
-from .params import Affine, Embedding, ExpertAffine, LayerNorm, affine_forward
+from .params import Affine, Embedding, ExpertAffine, LayerNorm
 from .tensor import (
     ShapeError,
     Tensor,
@@ -25,7 +26,6 @@ from .tensor import (
     as_np_dtype,
     embedding,
     gather_rows,
-    gelu,
     matmul,
     reshape,
     scale,
@@ -37,7 +37,6 @@ from .tensor import (
 VARIANTS = ("dense", "moe", "sw", "dw", "mb")
 OBJECTIVES = ("classification", "lm")
 EXPERT_INITS = ("independent", "replicate")
-UPDATE_ORDERS = ("update_then_fuse", "fuse_then_update")
 
 MASK_FILL = -1e9
 
@@ -67,7 +66,6 @@ class ModelSpec:
     replaced_layers: tuple[int, ...] | None = None
     shared_router: bool = True
     expert_init: str = "independent"
-    mb_update_order: str = "update_then_fuse"
     freeze_fusion_weights: bool = False
     seed: int = 0
 
@@ -98,10 +96,6 @@ class ModelSpec:
             raise ValueError(f"momentum must be in [0, 1); got {self.momentum}")
         if self.expert_init not in EXPERT_INITS:
             raise ValueError(f"expert_init must be one of {EXPERT_INITS}; got {self.expert_init!r}")
-        if self.mb_update_order not in UPDATE_ORDERS:
-            raise ValueError(
-                f"mb_update_order must be one of {UPDATE_ORDERS}; got {self.mb_update_order!r}"
-            )
         if self.replaced_layers is None:
             self.replaced_layers = tuple(range(self.depth))
         else:
@@ -111,9 +105,6 @@ class ModelSpec:
                     f"replaced_layers {layers} outside valid range [0, {self.depth})"
                 )
             self.replaced_layers = layers
-
-    def resolved_replaced(self) -> tuple[int, ...]:
-        return self.replaced_layers
 
     @property
     def hidden(self) -> int:
@@ -170,13 +161,17 @@ class AttentionLayer:
 
 
 class FFNSlot:
-    """Stacked up/down expert sets plus the variant's weight source."""
+    """Stacked up/down expert sets plus the variant's weight source.
+
+    Every kind but ``moe`` runs the same fused forward: the first controller
+    weights the up set and the last the down set. A dense slot is the
+    one-expert static fusion.
+    """
 
     def __init__(self, name: str, kind: str, spec: ModelSpec, dtype, seed: int):
-        self.name = name
         self.kind = kind
-        n = 1 if kind == "dense" else spec.num_experts
-        replicate = spec.expert_init == "replicate" and kind != "dense"
+        n = spec.num_experts if kind != "dense" else 1
+        replicate = spec.expert_init == "replicate"
         self.up = ExpertAffine(name + ".up", n, spec.dim, spec.hidden, dtype, seed, replicate)
         self.down = ExpertAffine(name + ".down", n, spec.hidden, spec.dim, dtype, seed, replicate)
         self.top_k = spec.top_k
@@ -189,53 +184,30 @@ class FFNSlot:
                 F.LearnedFusion(name + ".fusion", n, dtype, frozen=spec.freeze_fusion_weights)
             ]
         elif kind == "mb":
-            if spec.shared_router:
-                router = Router(name + ".router", spec.dim, n, dtype, seed)
-                self.controllers = [
-                    F.MemoryFusion(name + ".fusion", router, spec.momentum, dtype,
-                                   spec.mb_update_order)
-                ]
-            else:
-                self.controllers = [
-                    F.MemoryFusion(f"{name}.fusion.{tag}",
-                                   Router(f"{name}.router.{tag}", spec.dim, n, dtype, seed),
-                                   spec.momentum, dtype, spec.mb_update_order)
-                    for tag in ("up", "down")
-                ]
+            tags = ("",) if spec.shared_router else (".up", ".down")
+            self.controllers = [
+                F.MemoryFusion(f"{name}.fusion{tag}",
+                               Router(f"{name}.router{tag}", spec.dim, n, dtype, seed),
+                               spec.momentum, dtype)
+                for tag in tags
+            ]
         elif kind == "moe":
             self.router = Router(name + ".router", spec.dim, n, dtype, seed)
         else:
             raise ValueError(f"unknown FFN slot kind {kind!r}")
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        if self.kind == "dense":
-            # single expert with unit weight; skip the fusion reduction
-            w_u = reshape(self.up.weight, (self.up.d_in, self.up.d_out))
-            b_u = reshape(self.up.bias, (self.up.d_out,))
-            w_d = reshape(self.down.weight, (self.down.d_in, self.down.d_out))
-            b_d = reshape(self.down.bias, (self.down.d_out,))
-            h = gelu(affine_forward(x, w_u, b_u))
-            return affine_forward(h, w_d, b_d)
         if self.kind == "moe":
             return topk_moe_forward(x, self.up, self.down, self.router, self.top_k)
-        if len(self.controllers) == 1:
-            w = self.controllers[0].step_weights(x, training)
-            return F.fused_ffn_forward(x, self.up, self.down, w)
-        w_up = self.controllers[0].step_weights(x, training)
-        w_down = self.controllers[1].step_weights(x, training)
-        return F.fused_ffn_forward(x, self.up, self.down, w_up, w_down)
+        ws = [c.step_weights(x, training) for c in self.controllers]
+        return F.fused_ffn_forward(x, self.up, self.down, ws[0], ws[-1])
 
     def export_fusion_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Final (up, down) fusion weight vectors for the dense collapse."""
         if self.kind == "moe":
             raise ValueError("a top-k mixture slot has no fusion weights to export")
-        if self.kind == "dense":
-            one = np.ones(1, dtype=self.up.weight.data.dtype)
-            return one, one
-        if len(self.controllers) == 1:
-            w = self.controllers[0].export_weights()
-            return w, w
-        return self.controllers[0].export_weights(), self.controllers[1].export_weights()
+        ws = [c.export_weights() for c in self.controllers]
+        return ws[0], ws[-1]
 
     def named_parameters(self):
         out = self.up.named_parameters() + self.down.named_parameters()
@@ -275,12 +247,12 @@ class Model:
         self.spec = spec
         self.dtype = dtype
         seed = spec.seed
-        replaced = set(spec.resolved_replaced())
+        replaced = set(spec.replaced_layers)
         self.embed = Embedding("embed", spec.vocab_size, spec.dim, dtype, seed)
         self.pos = Embedding("pos", spec.max_seq_len, spec.dim, dtype, seed)
         self.blocks = []
         for i in range(spec.depth):
-            kind = spec.variant if (spec.variant != "dense" and i in replaced) else "dense"
+            kind = spec.variant if i in replaced else "dense"
             self.blocks.append(TransformerBlock(f"blocks.{i}", kind, spec, dtype, seed))
         self.final_ln = LayerNorm("final_ln", spec.dim, dtype)
         self.head = Affine("head", spec.dim, spec.head_out, dtype, seed)
@@ -326,14 +298,6 @@ class Model:
             out.extend(block.ffn.named_buffers())
         return out
 
-    def _bank_owners(self) -> dict:
-        owners = {}
-        for block in self.blocks:
-            for c in block.ffn.controllers:
-                for name, _ in c.named_buffers():
-                    owners[name] = c
-        return owners
-
     def param_count(self) -> int:
         return sum(t.data.size for _, t in self.named_parameters())
 
@@ -344,7 +308,6 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        owners = self._bank_owners()
         for name, t in self.named_parameters():
             if name not in arrays:
                 raise KeyError(f"missing parameter {name!r}")
@@ -352,19 +315,18 @@ class Model:
             if arr.shape != t.data.shape:
                 raise ShapeError(f"parameter {name!r}: shape {arr.shape} != {t.data.shape}")
             t.data = arr.astype(t.data.dtype, copy=True)
-        for name, _ in self.named_buffers():
+        for name, buf in self.named_buffers():
             if name not in arrays:
                 raise KeyError(f"missing buffer {name!r}")
-            owner = owners[name]
-            owner.bank = arrays[name].astype(owner.bank.dtype, copy=True)
+            _copy_buffer(name, buf, arrays[name])
 
     def bank_state(self) -> dict[str, np.ndarray]:
         return {name: buf.copy() for name, buf in self.named_buffers()}
 
     def set_bank_state(self, state: dict[str, np.ndarray]) -> None:
-        owners = self._bank_owners()
+        buffers = dict(self.named_buffers())
         for name, arr in state.items():
-            owners[name].bank = arr.copy()
+            _copy_buffer(name, buffers[name], arr)
 
     def zero_grad(self) -> None:
         for _, t in self.named_parameters():
@@ -379,15 +341,17 @@ class Model:
         return other
 
 
-def build_model(spec: ModelSpec, dtype: str = "f32") -> Model:
-    return Model(spec, dtype=dtype)
+def _copy_buffer(name: str, buf: np.ndarray, arr: np.ndarray) -> None:
+    if arr.shape != buf.shape:
+        raise ShapeError(f"buffer {name!r}: shape {arr.shape} != {buf.shape}")
+    buf[...] = arr
 
 
 def expected_param_count(spec: ModelSpec) -> int:
     """Closed-form parameter count for a ModelSpec; must match the model exactly."""
     d, h = spec.dim, spec.hidden
     total = spec.vocab_size * d + spec.max_seq_len * d  # embeddings
-    replaced = set(spec.resolved_replaced())
+    replaced = set(spec.replaced_layers)
     router_params = d * spec.num_experts + spec.num_experts
     for i in range(spec.depth):
         total += 2 * d + 2 * d              # two layernorms
@@ -418,23 +382,12 @@ def collapse_to_dense(model: Model) -> Model:
         raise ValueError("top-k mixture models cannot be collapsed; experts are not fused")
     dense_spec = dataclasses.replace(model.spec, variant="dense", replaced_layers=())
     dense = Model(dense_spec, dtype=model.dtype)
-    arrays = {}
-    skip = {name for name, _ in model.named_buffers()}
-    param_names = {name for name, _ in dense.named_parameters()}
-    for name, arr in model.state_arrays().items():
-        if name in skip:
-            continue
-        if name in param_names:
-            arrays[name] = arr.copy()
-    for i, block in enumerate(model.blocks):
+    arrays = model.state_arrays()
+    for block in model.blocks:
         slot = block.ffn
-        if slot.kind == "dense":
-            continue
         w_up, w_down = slot.export_fusion_weights()
-        prefix = f"blocks.{i}.ffn"
-        arrays[f"{prefix}.up.weight"] = np.tensordot(w_up, slot.up.weight.data, axes=(0, 0))[None]
-        arrays[f"{prefix}.up.bias"] = np.tensordot(w_up, slot.up.bias.data, axes=(0, 0))[None]
-        arrays[f"{prefix}.down.weight"] = np.tensordot(w_down, slot.down.weight.data, axes=(0, 0))[None]
-        arrays[f"{prefix}.down.bias"] = np.tensordot(w_down, slot.down.bias.data, axes=(0, 0))[None]
+        for experts, w in ((slot.up, w_up), (slot.down, w_down)):
+            for name, t in experts.named_parameters():
+                arrays[name] = np.tensordot(w, t.data, axes=(0, 0))[None]
     dense.load_state_arrays(arrays)
     return dense

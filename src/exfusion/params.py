@@ -75,8 +75,6 @@ class ExpertAffine:
             raise ValueError(f"expert set {name!r} needs n >= 1; got {n}")
         self.name = name
         self.n = n
-        self.d_in = d_in
-        self.d_out = d_out
         np_dtype = as_np_dtype(dtype)
         if replicate:
             first = normal_init(seed, f"{name}.0.weight", (d_in, d_out), dtype)
@@ -88,9 +86,6 @@ class ExpertAffine:
 
     def named_parameters(self):
         return [(self.name + ".weight", self.weight), (self.name + ".bias", self.bias)]
-
-    def param_count(self) -> int:
-        return self.weight.data.size + self.bias.data.size
 
 
 class LayerNorm:

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checkpoint import load_model_checkpoint, save_model_checkpoint
+from .checkpoint import load_model_checkpoint, meta_json, save_model_checkpoint
 from .model import Model, ModelSpec
 from .optim import AdamW, CosineSchedule, clip_grad_norm
 from .tasks import TaskSpec, build_task
@@ -68,10 +68,6 @@ class TrainConfig:
         import dataclasses
 
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 class EvalResult(NamedTuple):
@@ -144,8 +140,27 @@ def model_spec_for_task(task, **kw) -> ModelSpec:
     )
 
 
-def _rng_state_meta(seed: int) -> dict:
-    return {"seed": int(seed), "pcg64": np.random.PCG64(seed).state}
+def _check_resume_settings(meta: dict, settings: dict, path) -> None:
+    """Refuse a resume whose task or train settings differ from the checkpoint's."""
+    changes = []
+    for key, current in settings.items():
+        if key not in meta:
+            continue
+        saved = meta_json(meta, key)
+        changes += [f"{key}.{field} {saved.get(field)!r} -> {current.get(field)!r}"
+                    for field in sorted(saved.keys() | current.keys())
+                    if saved.get(field) != current.get(field)]
+    if changes:
+        raise ValueError(f"resume settings differ from checkpoint {path}: " + "; ".join(changes))
+
+
+def _drop_rows_after(metrics_path: Path, step: int) -> None:
+    """Cut metrics rows past ``step``, so a resume does not log them twice."""
+    with open(metrics_path, newline="") as fh:
+        header, *rows = fh.readlines()
+    with open(metrics_path, "w", newline="") as fh:
+        fh.write(header)
+        fh.writelines(row for row in rows if int(row.split(",", 1)[0]) <= step)
 
 
 def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
@@ -164,10 +179,12 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
     _check_compatible(model_spec, task)
 
     loaded = None
+    settings = {"task_spec": task_spec.to_dict(), "train_config": cfg.to_dict()}
     if resume_from is not None:
         loaded = load_model_checkpoint(resume_from)
         if loaded.model.spec != model_spec:
             raise ValueError(f"checkpoint spec does not match run spec ({resume_from})")
+        _check_resume_settings(loaded.meta, settings, resume_from)
         model = loaded.model
         start_step = loaded.step
         if start_step > cfg.steps:
@@ -184,17 +201,17 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
     sched = CosineSchedule(cfg.warmup_steps, cfg.steps, cfg.base_lr, cfg.min_lr)
 
     metrics_path = out_dir / "metrics.csv"
-    if resume_from is None or not metrics_path.exists():
+    if resume_from is not None and metrics_path.exists():
+        _drop_rows_after(metrics_path, start_step)
+    else:
         with open(metrics_path, "w", newline="\n") as fh:
             fh.write("step,epoch,lr,train_loss,val_metric,step_ms\n")
 
     ckpt_paths: list[Path] = []
-    extra_meta = {"task_spec": task_spec.to_dict(), "train_config": cfg.to_dict(),
-                  "rng_state": _rng_state_meta(task_spec.seed)}
 
     def save(step: int) -> Path:
         path = out_dir / f"ckpt_{step:06d}.bin"
-        save_model_checkpoint(path, model, step=step, optimizer=opt, extra_meta=extra_meta)
+        save_model_checkpoint(path, model, step=step, optimizer=opt, extra_meta=settings)
         ckpt_paths.append(path)
         return path
 

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -97,6 +98,26 @@ class TestContainer:
             read_checkpoint(path)
 
 
+    def _single_record(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
+        return path, bytearray(path.read_bytes()), 12 + 4 + len("w") + 2  # dims offset
+
+    def test_absurd_dims_refused_before_reading(self, tmp_path):
+        path, raw, dims_at = self._single_record(tmp_path)
+        for dims in ((2 ** 40, 3), (2 ** 62, 2 ** 62)):
+            raw[dims_at:dims_at + 16] = struct.pack("<QQ", *dims)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(CheckpointError, match="truncated.*bytes declared"):
+                read_checkpoint(path)
+
+    def test_truncated_payload_refused(self, tmp_path):
+        path, raw, dims_at = self._single_record(tmp_path)
+        path.write_bytes(bytes(raw[:dims_at + 16 + 10]))  # 10 of the 24 payload bytes
+        with pytest.raises(CheckpointError, match="truncated.*24 bytes declared, 10 left"):
+            read_checkpoint(path)
+
+
 class TestModelCheckpoint:
     def test_model_roundtrip_with_banks_and_optimizer(self, tmp_path):
         spec = ModelSpec(depth=2, dim=16, heads=2, expansion=2, vocab_size=9,
@@ -140,3 +161,30 @@ class TestModelCheckpoint:
         save_model_checkpoint(src, model, step=0)
         save_model_checkpoint(dst, collapse_to_dense(model), step=0)
         assert dst.stat().st_size < src.stat().st_size
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda d: d.update(mb_update_order="update_then_fuse"), "mb_update_order"),
+        (lambda d: d.update(momentum=1.5), "momentum"),
+        (lambda d: d.pop("depth"), "depth"),
+    ])
+    def test_unbuildable_model_spec_is_checkpoint_error(self, tmp_path, change, field):
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,
+                                                    vocab_size=5, num_classes=2, max_seq_len=4)))
+        tensors, meta = read_checkpoint(path)
+        spec = meta_json(meta, "model_spec")
+        change(spec)
+        meta["model_spec"] = json.dumps(spec)
+        write_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError, match=f"ckpt.bin.*{field}"):
+            load_model_checkpoint(path)
+
+    def test_undecodable_model_spec_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,
+                                                    vocab_size=5, num_classes=2, max_seq_len=4)))
+        tensors, meta = read_checkpoint(path)
+        meta["model_spec"] = "{not json"
+        write_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError, match="ckpt.bin.*model_spec"):
+            load_model_checkpoint(path)

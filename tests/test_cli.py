@@ -1,3 +1,5 @@
+import json
+import struct
 import subprocess
 import sys
 
@@ -106,6 +108,22 @@ class TestTrainCommand:
         assert code == 1
 
 
+    def test_resume_with_changed_train_settings_refused(self, tmp_path, capsys):
+        code, out = train(tmp_path)
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("batch_size = 8", "batch_size = 32")
+                       .replace("base_lr = 2e-3", "base_lr = 5e-2"))
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         "--resume", str(out / "ckpt_000000.bin")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "batch_size 8 -> 32" in err and "base_lr 0.002 -> 0.05" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestExportCommand:
     def test_export_shrinks_and_matches(self, tmp_path, capsys):
         _, out = train(tmp_path)
@@ -140,6 +158,43 @@ class TestExportCommand:
         _, out = train(tmp_path)
         src = out / "ckpt_000020.bin"
         src.write_bytes(src.read_bytes()[:100])
+        code = cli.main(["export", str(src), "--out", str(tmp_path / "x.bin")])
+        assert code == 2
+        assert "truncated" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    def test_old_model_spec_field_is_runtime_error(self, tmp_path, capsys, command):
+        from exfusion.checkpoint import meta_json, read_checkpoint, write_checkpoint
+
+        cfg = write_config(tmp_path)
+        _, out = train(tmp_path)
+        src = out / "ckpt_000020.bin"
+        tensors, meta = read_checkpoint(src)
+        spec = meta_json(meta, "model_spec")
+        spec["mb_update_order"] = "update_then_fuse"  # a field older versions wrote
+        meta["model_spec"] = json.dumps(spec)
+        write_checkpoint(src, tensors, meta)
+        capsys.readouterr()
+        argv = ([command, str(src), "--out", str(tmp_path / "x.bin")] if command == "export"
+                else [command, str(src), "--config", str(cfg)])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "ckpt_000020.bin" in err and "mb_update_order" in err
+
+    @pytest.mark.parametrize("cut", ["dims", "payload"])
+    def test_corrupt_record_sizes_are_runtime_errors(self, tmp_path, capsys, cut):
+        _, out = train(tmp_path)
+        src = out / "ckpt_000020.bin"
+        raw = bytearray(src.read_bytes())
+        (name_len,) = struct.unpack_from("<I", raw, 12)
+        rank = raw[12 + 4 + name_len + 1]
+        dims_at = 12 + 4 + name_len + 2
+        if cut == "dims":
+            raw[dims_at:dims_at + 8] = struct.pack("<Q", 2 ** 40)
+        else:
+            raw = raw[:dims_at + 8 * rank + 3]
+        src.write_bytes(bytes(raw))
         code = cli.main(["export", str(src), "--out", str(tmp_path / "x.bin")])
         assert code == 2
         assert "truncated" in capsys.readouterr().err

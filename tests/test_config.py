@@ -15,7 +15,6 @@ momentum = 0.95
 replaced_layers = all
 shared_router = true
 expert_init = independent
-mb_update_order = update_then_fuse
 seed = 9
 
 [task]
@@ -95,7 +94,6 @@ class TestLoad:
         run = load_run_config(write(tmp_path, FULL.replace(
             "replaced_layers = all", "replaced_layers = none")))
         assert run.model.replaced_layers == ()
-        assert run.model.resolved_replaced() == ()
 
     def test_overrides(self, tmp_path):
         run = load_run_config(write(tmp_path, FULL),

@@ -235,11 +235,11 @@ class TestEmaUpdate:
 
 
 class TestMemoryFusion:
-    def _mb(self, seed=0, n=4, dim=6, delta=0.95, order="update_then_fuse", zero_router=False):
+    def _mb(self, seed=0, n=4, dim=6, delta=0.95, zero_router=False):
         router = Router("r", dim, n, "f32", seed)
         if zero_router:
             router.weight.data = np.zeros_like(router.weight.data)
-        return MemoryFusion("fusion", router, delta, "f32", order)
+        return MemoryFusion("fusion", router, delta, "f32")
 
     def test_first_training_step_composition(self):
         # zero router => w = 1/N each; bank becomes (1-delta)/N; output must equal
@@ -309,14 +309,6 @@ class TestMemoryFusion:
 
         num = numeric_gradient(f, [mb.router.weight.data.astype(np.float64)], 0, 1e-3)
         assert max_rel_err(mb.router.weight.grad, num) < 1e-4
-
-    def test_fuse_then_update_uses_pre_update_bank(self):
-        mb = self._mb(seed=19, order="fuse_then_update")
-        mb.bank = np.full(4, 0.1, dtype=np.float32)
-        x = Tensor(np.random.default_rng(19).normal(size=(1, 2, 6)).astype(np.float32))
-        w = mb.step_weights(x, training=True)
-        np.testing.assert_array_equal(w.data, np.full(4, 0.1, dtype=np.float32))
-        assert not np.allclose(mb.bank, 0.1)  # bank advanced after fusing
 
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError, match="momentum"):

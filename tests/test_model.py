@@ -11,7 +11,8 @@ from exfusion.model import (
     collapse_to_dense,
     expected_param_count,
 )
-from exfusion.tensor import Tensor, cross_entropy, no_grad
+from exfusion.optim import AdamW
+from exfusion.tensor import ShapeError, Tensor, cross_entropy, no_grad
 
 from oracles import max_rel_err, numeric_gradient
 
@@ -46,7 +47,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="replaced_layers"):
             small_spec(replaced_layers=(0, 2))
         assert small_spec(replaced_layers=(1, 0, 1)).replaced_layers == (0, 1)
-        assert small_spec(replaced_layers=None).resolved_replaced() == (0, 1)
+        assert small_spec(replaced_layers=None).replaced_layers == (0, 1)
 
     def test_roundtrip_dict(self):
         spec = small_spec(variant="mb", replaced_layers=(1,))
@@ -244,6 +245,57 @@ class TestFullModelGradients:
             worst = max(worst, max_rel_err(t.grad, num))
         assert worst < 1e-4, f"{variant}: max rel err {worst:.2e}"
         assert names == [n for n, _ in model.named_parameters()]
+
+
+class TestBankState:
+    def _mb(self, **kw):
+        return Model(small_spec(variant="mb", **kw))
+
+    def test_state_arrays_bank_stays_live_across_a_step(self):
+        model = self._mb(shared_router=False)
+        arrays = model.state_arrays()
+        names = [name for name, _ in model.named_buffers()]
+        before = {name: arrays[name].copy() for name in names}
+        model.forward(rand_tokens(model.spec), training=True)
+        current = model.bank_state()
+        for name, buf in model.named_buffers():
+            assert arrays[name] is buf, name
+            assert arrays[name].tobytes() == current[name].tobytes(), name
+            assert not np.array_equal(arrays[name], before[name]), name
+
+    def test_wrong_bank_shape_rejected(self):
+        model = self._mb()
+        name, buf = model.named_buffers()[0]
+        arrays = {k: v.copy() for k, v in model.state_arrays().items()}
+        arrays[name] = np.zeros(buf.size + 1, dtype=buf.dtype)
+        with pytest.raises(ShapeError, match="bank"):
+            model.load_state_arrays(arrays)
+        with pytest.raises(ShapeError, match="bank"):
+            model.set_bank_state({name: np.zeros((1, buf.size), dtype=buf.dtype)})
+        assert not buf.any()  # neither call wrote into the bank
+
+    def test_eval_tape_keeps_its_bank_across_a_training_step(self):
+        tokens, labels = rand_tokens(small_spec()), np.arange(3) % 4
+
+        def expert_grads(step_between: bool) -> dict:
+            model = self._mb()
+            model.forward(rand_tokens(model.spec, seed=1), training=True)  # bank leaves zero
+            eval_loss = cross_entropy(model.forward(tokens, training=False), labels)
+            if step_between:
+                opt = AdamW(model.named_parameters())
+                loss = cross_entropy(model.forward(rand_tokens(model.spec, seed=2),
+                                                   training=True), labels)
+                loss.backward()
+                opt.step(1e-2)
+                model.zero_grad()
+            eval_loss.backward()
+            return {name: t.grad.copy() for name, t in model.named_parameters()
+                    if ".ffn.up." in name or ".ffn.down." in name}
+
+        plain, stepped = expert_grads(False), expert_grads(True)
+        assert plain.keys() == stepped.keys() and plain
+        for name, g in plain.items():
+            assert g.tobytes() == stepped[name].tobytes(), name
 
 
 class TestCollapse:

@@ -107,6 +107,37 @@ class TestTrainLoop:
                        resume_from=tmp_path / "ckpt_000005.bin")
 
 
+    def test_resume_from_earlier_step_drops_later_rows(self, tmp_path):
+        spec, task_spec, cfg = tiny_run(variant="mb", steps=24, log_interval=6,
+                                        checkpoint_interval=12)
+        train_loop(spec, task_spec, cfg, tmp_path / "full")
+        train_loop(spec, task_spec, cfg, tmp_path / "part")  # already reached step 24
+        train_loop(spec, task_spec, cfg, tmp_path / "part",
+                   resume_from=tmp_path / "part" / "ckpt_000012.bin")
+        full = (tmp_path / "full/metrics.csv").read_bytes()
+        assert (tmp_path / "part/metrics.csv").read_bytes() == full
+        assert [row.split(b",")[0] for row in full.splitlines()[1:]] == [b"6", b"12", b"18", b"24"]
+
+    @pytest.mark.parametrize("train_change, task_change, fields", [
+        (dict(batch_size=32), {}, ["train_config.batch_size 8 -> 32"]),
+        (dict(batch_size=32, base_lr=5e-2), {}, ["train_config.base_lr", "train_config.batch_size"]),
+        ({}, dict(noise=0.5), ["task_spec.noise 0.25 -> 0.5"]),
+    ])
+    def test_resume_with_changed_settings_refused(self, tmp_path, train_change, task_change,
+                                                  fields):
+        import dataclasses
+
+        spec, task_spec, cfg = tiny_run(steps=10, checkpoint_interval=5)
+        train_loop(spec, task_spec, cfg, tmp_path, halt_at_step=5)
+        task_spec = dataclasses.replace(task_spec, **task_change)
+        cfg = dataclasses.replace(cfg, **train_change)
+        with pytest.raises(ValueError, match="resume settings differ") as info:
+            train_loop(spec, task_spec, cfg, tmp_path, resume_from=tmp_path / "ckpt_000005.bin")
+        for field in fields:
+            assert field in str(info.value)
+        assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1  # untouched
+
+
 class TestEvaluate:
     def test_eval_deterministic_and_stateless(self):
         spec, task_spec, _ = tiny_run(variant="mb")
