@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import NonFiniteError, as_np_dtype
+
 MAGIC = b"EXFU"
 VERSION = 1
 
@@ -75,7 +77,7 @@ def _write_record(fh, name: str, arr: np.ndarray) -> None:
     fh.write(struct.pack("<BB", _CODES[arr.dtype], arr.ndim))
     for dim in arr.shape:
         fh.write(struct.pack("<Q", dim))
-    fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -96,15 +98,19 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = N
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Load (tensors, meta). Meta values come back as raw arrays; use the
     ``meta_*`` helpers to decode them. Each declared length is checked
-    against the bytes left in the file before it is read."""
+    against the bytes left in the file before it is read, and each payload
+    is read straight into its own array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def read_exact(n: int) -> bytes:
+        def check_left(n: int) -> None:
             left = size - fh.tell()
             if n > left:
                 raise CheckpointError(
                     f"{path}: truncated checkpoint ({n} bytes declared, {left} left)")
+
+        def read_exact(n: int) -> bytes:
+            check_left(n)
             return fh.read(n)
 
         if read_exact(4) != MAGIC:
@@ -118,15 +124,22 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
         meta: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read_exact(4))
-            name = read_exact(name_len).decode("utf-8")
+            try:
+                name = read_exact(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: record name at byte {fh.tell() - name_len} is not UTF-8") from None
             code, rank = struct.unpack("<BB", read_exact(2))
             if code not in _DTYPES:
                 raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
             dims = tuple(struct.unpack("<Q", read_exact(8))[0] for _ in range(rank))
             dtype = _DTYPES[code]
             nbytes = math.prod(dims) * dtype.itemsize
-            arr = np.frombuffer(read_exact(nbytes), dtype=dtype.newbyteorder("<")).astype(dtype)
-            arr = arr.reshape(dims)
+            check_left(nbytes)
+            arr = np.empty(dims, dtype=dtype.newbyteorder("<"))
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise CheckpointError(f"{path}: short read of {name!r}")
+            arr = arr.astype(dtype, copy=False)
             if name.startswith("meta/"):
                 meta[name[len("meta/"):]] = arr
             else:
@@ -167,18 +180,39 @@ class LoadedModel:
         self.opt_arrays = opt_arrays
 
 
+def _meta_field(path, meta: dict, key: str, decode):
+    if key not in meta:
+        raise CheckpointError(f"{path}: missing record 'meta/{key}'")
+    try:
+        return decode(meta, key)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise CheckpointError(f"{path}: record 'meta/{key}' is invalid: {exc}") from None
+
+
+def _dtype_name(meta: dict, key: str) -> str:
+    name = meta_str(meta, key)
+    as_np_dtype(name)
+    return name
+
+
 def load_model_checkpoint(path) -> LoadedModel:
+    """Rebuild the saved model from its records, adopting them as its arrays.
+
+    Every fault in what the file holds (a missing, wrong-shaped or
+    non-finite record, undecodable metadata) is a ``CheckpointError``
+    naming the file and the record.
+    """
     from .model import Model, ModelSpec
 
     tensors, meta = read_checkpoint(path)
-    if "model_spec" not in meta:
-        raise CheckpointError(f"{path}: missing model_spec metadata")
-    try:
-        spec = ModelSpec.from_dict(meta_json(meta, "model_spec"))
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: model_spec cannot be rebuilt: {exc}") from None
-    model = Model(spec, dtype=meta_str(meta, "dtype"))
+    spec = _meta_field(path, meta, "model_spec",
+                       lambda m, k: ModelSpec.from_dict(meta_json(m, k)))
+    dtype = _meta_field(path, meta, "dtype", _dtype_name)
+    step = _meta_field(path, meta, "step", meta_int)
     opt_arrays = {k: v for k, v in tensors.items() if k.startswith("opt/")}
     state = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
-    model.load_state_arrays(state)
-    return LoadedModel(model, meta_int(meta, "step"), meta, opt_arrays)
+    try:
+        model = Model.from_arrays(spec, state, dtype)
+    except (KeyError, ValueError, NonFiniteError) as exc:
+        raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
+    return LoadedModel(model, step, meta, opt_arrays)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .moe import Router, route
-from .params import ExpertAffine, affine_forward
+from .params import ArraySource, ExpertAffine, affine_forward
 from .tensor import (
     NonFiniteError,
     ShapeError,
@@ -117,9 +117,10 @@ class StaticFusion:
 class LearnedFusion:
     """One trainable weight vector shared by the up and down sets of a layer."""
 
-    def __init__(self, name: str, n: int, dtype, frozen: bool = False):
+    def __init__(self, name: str, n: int, dtype, frozen: bool = False, arrays=None):
         self.name = name
-        self.weights = Tensor(uniform_weights(n, dtype), requires_grad=not frozen)
+        self.weights = ArraySource(dtype, arrays=arrays).full(
+            name + ".weights", (n,), 1.0 / n, requires_grad=not frozen)
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         return self.weights
@@ -144,13 +145,13 @@ class MemoryFusion:
     a copy of the bank on the tape, since tape data must not change.
     """
 
-    def __init__(self, name: str, router: Router, delta: float, dtype):
+    def __init__(self, name: str, router: Router, delta: float, dtype, arrays=None):
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"momentum delta must be in [0, 1); got {delta}")
         self.name = name
         self.router = router
         self.delta = delta
-        self.bank = np.zeros(router.n_experts, dtype=as_np_dtype(dtype))
+        self.bank = ArraySource(dtype, arrays=arrays).buffer(name + ".bank", (router.n_experts,))
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         if not training:

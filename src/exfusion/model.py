@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fusion as F
 from .moe import Router, topk_moe_forward
-from .params import Affine, Embedding, ExpertAffine, LayerNorm
+from .params import Affine, Embedding, ExpertAffine, LayerNorm, checked_array
 from .tensor import (
     ShapeError,
     Tensor,
@@ -130,13 +130,13 @@ class ModelSpec:
 class AttentionLayer:
     """Multi-head scaled dot-product self-attention with output projection."""
 
-    def __init__(self, name: str, dim: int, heads: int, dtype, seed: int):
+    def __init__(self, name: str, dim: int, heads: int, dtype, seed: int, arrays=None):
         self.heads = heads
         self.head_dim = dim // heads
-        self.q = Affine(name + ".q", dim, dim, dtype, seed)
-        self.k = Affine(name + ".k", dim, dim, dtype, seed)
-        self.v = Affine(name + ".v", dim, dim, dtype, seed)
-        self.o = Affine(name + ".o", dim, dim, dtype, seed)
+        self.q = Affine(name + ".q", dim, dim, dtype, seed, arrays)
+        self.k = Affine(name + ".k", dim, dim, dtype, seed, arrays)
+        self.v = Affine(name + ".v", dim, dim, dtype, seed, arrays)
+        self.o = Affine(name + ".o", dim, dim, dtype, seed, arrays)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None, return_weights: bool = False):
         b, l, d = x.shape
@@ -168,12 +168,14 @@ class FFNSlot:
     one-expert static fusion.
     """
 
-    def __init__(self, name: str, kind: str, spec: ModelSpec, dtype, seed: int):
+    def __init__(self, name: str, kind: str, spec: ModelSpec, dtype, seed: int, arrays=None):
         self.kind = kind
         n = spec.num_experts if kind != "dense" else 1
         replicate = spec.expert_init == "replicate"
-        self.up = ExpertAffine(name + ".up", n, spec.dim, spec.hidden, dtype, seed, replicate)
-        self.down = ExpertAffine(name + ".down", n, spec.hidden, spec.dim, dtype, seed, replicate)
+        self.up = ExpertAffine(name + ".up", n, spec.dim, spec.hidden, dtype, seed, replicate,
+                               arrays)
+        self.down = ExpertAffine(name + ".down", n, spec.hidden, spec.dim, dtype, seed, replicate,
+                                 arrays)
         self.top_k = spec.top_k
         self.router: Router | None = None
         self.controllers: list = []
@@ -181,18 +183,19 @@ class FFNSlot:
             self.controllers = [F.StaticFusion(n, dtype)]
         elif kind == "dw":
             self.controllers = [
-                F.LearnedFusion(name + ".fusion", n, dtype, frozen=spec.freeze_fusion_weights)
+                F.LearnedFusion(name + ".fusion", n, dtype, frozen=spec.freeze_fusion_weights,
+                                arrays=arrays)
             ]
         elif kind == "mb":
             tags = ("",) if spec.shared_router else (".up", ".down")
             self.controllers = [
                 F.MemoryFusion(f"{name}.fusion{tag}",
-                               Router(f"{name}.router{tag}", spec.dim, n, dtype, seed),
-                               spec.momentum, dtype)
+                               Router(f"{name}.router{tag}", spec.dim, n, dtype, seed, arrays),
+                               spec.momentum, dtype, arrays)
                 for tag in tags
             ]
         elif kind == "moe":
-            self.router = Router(name + ".router", spec.dim, n, dtype, seed)
+            self.router = Router(name + ".router", spec.dim, n, dtype, seed, arrays)
         else:
             raise ValueError(f"unknown FFN slot kind {kind!r}")
 
@@ -225,11 +228,12 @@ class FFNSlot:
 
 
 class TransformerBlock:
-    def __init__(self, name: str, ffn_kind: str, spec: ModelSpec, dtype, seed: int):
-        self.ln1 = LayerNorm(name + ".ln1", spec.dim, dtype)
-        self.attn = AttentionLayer(name + ".attn", spec.dim, spec.heads, dtype, seed)
-        self.ln2 = LayerNorm(name + ".ln2", spec.dim, dtype)
-        self.ffn = FFNSlot(name + ".ffn", ffn_kind, spec, dtype, seed)
+    def __init__(self, name: str, ffn_kind: str, spec: ModelSpec, dtype, seed: int,
+                 arrays=None):
+        self.ln1 = LayerNorm(name + ".ln1", spec.dim, dtype, arrays=arrays)
+        self.attn = AttentionLayer(name + ".attn", spec.dim, spec.heads, dtype, seed, arrays)
+        self.ln2 = LayerNorm(name + ".ln2", spec.dim, dtype, arrays=arrays)
+        self.ffn = FFNSlot(name + ".ffn", ffn_kind, spec, dtype, seed, arrays)
 
     def forward(self, x: Tensor, mask: np.ndarray | None, training: bool) -> Tensor:
         x = add(x, self.attn(self.ln1(x), mask))
@@ -241,21 +245,37 @@ class TransformerBlock:
 
 
 class Model:
-    """Token embedding + positional table + blocks + final norm + head."""
+    """Token embedding + positional table + blocks + final norm + head.
+
+    ``Model(spec, dtype)`` draws fresh parameters; ``Model.from_arrays``
+    adopts named arrays instead (see ``params.ArraySource``).
+    """
 
     def __init__(self, spec: ModelSpec, dtype: str = "f32"):
+        self._build(spec, dtype, None)
+
+    @classmethod
+    def from_arrays(cls, spec: ModelSpec, arrays, dtype: str = "f32") -> "Model":
+        """A model holding ``arrays`` (parameters and buffers by name), cast to
+        ``dtype`` without a copy where they already have it. Names the model
+        does not use are ignored."""
+        model = cls.__new__(cls)
+        model._build(spec, dtype, arrays)
+        return model
+
+    def _build(self, spec: ModelSpec, dtype: str, arrays) -> None:
         self.spec = spec
         self.dtype = dtype
         seed = spec.seed
         replaced = set(spec.replaced_layers)
-        self.embed = Embedding("embed", spec.vocab_size, spec.dim, dtype, seed)
-        self.pos = Embedding("pos", spec.max_seq_len, spec.dim, dtype, seed)
+        self.embed = Embedding("embed", spec.vocab_size, spec.dim, dtype, seed, arrays)
+        self.pos = Embedding("pos", spec.max_seq_len, spec.dim, dtype, seed, arrays)
         self.blocks = []
         for i in range(spec.depth):
             kind = spec.variant if i in replaced else "dense"
-            self.blocks.append(TransformerBlock(f"blocks.{i}", kind, spec, dtype, seed))
-        self.final_ln = LayerNorm("final_ln", spec.dim, dtype)
-        self.head = Affine("head", spec.dim, spec.head_out, dtype, seed)
+            self.blocks.append(TransformerBlock(f"blocks.{i}", kind, spec, dtype, seed, arrays))
+        self.final_ln = LayerNorm("final_ln", spec.dim, dtype, arrays=arrays)
+        self.head = Affine("head", spec.dim, spec.head_out, dtype, seed, arrays)
 
     # -- forward ----------------------------------------------------------------
 
@@ -308,25 +328,20 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy ``arrays`` into this model's existing parameters and buffers."""
         for name, t in self.named_parameters():
-            if name not in arrays:
-                raise KeyError(f"missing parameter {name!r}")
-            arr = arrays[name]
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter {name!r}: shape {arr.shape} != {t.data.shape}")
-            t.data = arr.astype(t.data.dtype, copy=True)
+            t.data = checked_array(arrays, name, t.shape).astype(t.data.dtype)
         for name, buf in self.named_buffers():
-            if name not in arrays:
-                raise KeyError(f"missing buffer {name!r}")
-            _copy_buffer(name, buf, arrays[name])
+            buf[...] = checked_array(arrays, name, buf.shape)
 
     def bank_state(self) -> dict[str, np.ndarray]:
         return {name: buf.copy() for name, buf in self.named_buffers()}
 
     def set_bank_state(self, state: dict[str, np.ndarray]) -> None:
         buffers = dict(self.named_buffers())
-        for name, arr in state.items():
-            _copy_buffer(name, buffers[name], arr)
+        for name in state:
+            buf = buffers[name]
+            buf[...] = checked_array(state, name, buf.shape)
 
     def zero_grad(self) -> None:
         for _, t in self.named_parameters():
@@ -334,17 +349,10 @@ class Model:
 
     def cast(self, dtype: str) -> "Model":
         """Copy of this model with every parameter/buffer cast to ``dtype``."""
-        other = Model(self.spec, dtype=dtype)
         target = as_np_dtype(dtype)
-        arrays = {name: arr.astype(target) for name, arr in self.state_arrays().items()}
-        other.load_state_arrays(arrays)
-        return other
-
-
-def _copy_buffer(name: str, buf: np.ndarray, arr: np.ndarray) -> None:
-    if arr.shape != buf.shape:
-        raise ShapeError(f"buffer {name!r}: shape {arr.shape} != {buf.shape}")
-    buf[...] = arr
+        arrays = {name: arr.astype(target, order="C")
+                  for name, arr in self.state_arrays().items()}
+        return Model.from_arrays(self.spec, arrays, dtype)
 
 
 def expected_param_count(spec: ModelSpec) -> int:
@@ -376,18 +384,19 @@ def collapse_to_dense(model: Model) -> Model:
     Every multi-expert slot is replaced by the single affine pair obtained
     from its final fusion weights; routers and banks are dropped. The fused
     arrays are computed by the same reduction the source model uses at eval
-    time, so eval logits agree bitwise.
+    time, so eval logits agree bitwise. The dense model owns its arrays: the
+    ones it keeps are copied, so it never aliases the source.
     """
     if model.spec.variant == "moe":
         raise ValueError("top-k mixture models cannot be collapsed; experts are not fused")
     dense_spec = dataclasses.replace(model.spec, variant="dense", replaced_layers=())
-    dense = Model(dense_spec, dtype=model.dtype)
-    arrays = model.state_arrays()
+    fused = {}
     for block in model.blocks:
         slot = block.ffn
         w_up, w_down = slot.export_fusion_weights()
         for experts, w in ((slot.up, w_up), (slot.down, w_down)):
             for name, t in experts.named_parameters():
-                arrays[name] = np.tensordot(w, t.data, axes=(0, 0))[None]
-    dense.load_state_arrays(arrays)
-    return dense
+                fused[name] = np.tensordot(w, t.data, axes=(0, 0))[None]
+    arrays = {name: arr.copy() for name, arr in model.state_arrays().items() if name not in fused}
+    arrays.update(fused)
+    return Model.from_arrays(dense_spec, arrays, model.dtype)

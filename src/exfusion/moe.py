@@ -29,8 +29,8 @@ from .tensor import (
 class Router(Affine):
     """Linear map dim -> n_experts whose softmax is the expert gate."""
 
-    def __init__(self, name: str, dim: int, n_experts: int, dtype, seed: int):
-        super().__init__(name, dim, n_experts, dtype, seed)
+    def __init__(self, name: str, dim: int, n_experts: int, dtype, seed: int, arrays=None):
+        super().__init__(name, dim, n_experts, dtype, seed, arrays)
         self.n_experts = n_experts
 
 

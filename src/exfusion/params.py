@@ -5,6 +5,10 @@ so two models that share a parameter name initialize it bit-identically
 regardless of which other parameters exist. This is what makes variant
 degeneracy checks (e.g. single-expert fusion vs a plain dense layer)
 byte-for-byte comparable.
+
+A container takes its arrays from one source. A fresh one draws them; one
+rebuilt from named arrays (a loaded checkpoint, a cast, a dense export)
+adopts them instead, so nothing is drawn only to be overwritten.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from .tensor import Tensor, add, as_np_dtype, layernorm, matmul, reshape
+from .tensor import NonFiniteError, ShapeError, Tensor, add, as_np_dtype, layernorm, matmul, reshape
 
 INIT_STD = 0.02
 
@@ -46,13 +50,73 @@ def normal_init(seed: int, name: str, shape, dtype, std: float = INIT_STD) -> np
     return arr.astype(as_np_dtype(dtype))
 
 
+class MissingArrayError(KeyError):
+    """A named array that a rebuilt model needs is absent."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+def checked_array(arrays, name: str, shape) -> np.ndarray:
+    """``arrays[name]``, refused unless it is present with ``shape``."""
+    if name not in arrays:
+        raise MissingArrayError(f"missing array {name!r}")
+    arr = np.asarray(arrays[name])
+    if arr.shape != tuple(shape):
+        raise ShapeError(f"array {name!r}: shape {arr.shape} != {tuple(shape)}")
+    return arr
+
+
+class ArraySource:
+    """Where a container's arrays come from.
+
+    With ``arrays=None`` every array is drawn fresh: ``normal_init`` per
+    name, or a constant fill. Otherwise ``arrays[name]`` is adopted: it must
+    be present with the right shape, and it is cast to the model dtype
+    without a copy when it already has it. Parameters are wrapped in
+    ``Tensor``, whose finite check then names the array.
+    """
+
+    def __init__(self, dtype, seed: int = 0, arrays=None):
+        self.dtype = as_np_dtype(dtype)
+        self.seed = seed
+        self.arrays = arrays
+
+    def array(self, name: str, shape, draw) -> np.ndarray:
+        if self.arrays is None:
+            return draw()
+        return checked_array(self.arrays, name, shape).astype(self.dtype, copy=False)
+
+    def param(self, name: str, shape, draw, requires_grad: bool = True) -> Tensor:
+        arr = self.array(name, shape, draw)
+        try:
+            return Tensor(arr, requires_grad=requires_grad)
+        except NonFiniteError:
+            raise NonFiniteError(f"array {name!r} has non-finite values") from None
+
+    def normal(self, name: str, shape) -> Tensor:
+        return self.param(name, shape, lambda: normal_init(self.seed, name, shape, self.dtype))
+
+    def full(self, name: str, shape, value: float, requires_grad: bool = True) -> Tensor:
+        return self.param(name, shape, lambda: np.full(shape, value, dtype=self.dtype),
+                          requires_grad)
+
+    def buffer(self, name: str, shape) -> np.ndarray:
+        """A zero-initialized statistics array (not a parameter)."""
+        arr = self.array(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"array {name!r} has non-finite values")
+        return arr
+
+
 class Affine:
     """One linear map ``x @ weight + bias`` with weight [d_in, d_out]."""
 
-    def __init__(self, name: str, d_in: int, d_out: int, dtype, seed: int):
+    def __init__(self, name: str, d_in: int, d_out: int, dtype, seed: int, arrays=None):
+        src = ArraySource(dtype, seed, arrays)
         self.name = name
-        self.weight = Tensor(normal_init(seed, name + ".weight", (d_in, d_out), dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out, dtype=as_np_dtype(dtype)), requires_grad=True)
+        self.weight = src.normal(name + ".weight", (d_in, d_out))
+        self.bias = src.full(name + ".bias", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine_forward(x, self.weight, self.bias)
@@ -70,31 +134,34 @@ class ExpertAffine:
     """
 
     def __init__(self, name: str, n: int, d_in: int, d_out: int, dtype, seed: int,
-                 replicate: bool = False):
+                 replicate: bool = False, arrays=None):
         if n < 1:
             raise ValueError(f"expert set {name!r} needs n >= 1; got {n}")
+        src = ArraySource(dtype, seed, arrays)
         self.name = name
         self.n = n
-        np_dtype = as_np_dtype(dtype)
-        if replicate:
-            first = normal_init(seed, f"{name}.0.weight", (d_in, d_out), dtype)
-            w = np.broadcast_to(first, (n, d_in, d_out)).copy()
-        else:
-            w = np.stack([normal_init(seed, f"{name}.{i}.weight", (d_in, d_out), dtype) for i in range(n)])
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros((n, d_out), dtype=np_dtype), requires_grad=True)
+
+        def draw() -> np.ndarray:
+            if replicate:
+                first = normal_init(seed, f"{name}.0.weight", (d_in, d_out), dtype)
+                return np.broadcast_to(first, (n, d_in, d_out)).copy()
+            return np.stack([normal_init(seed, f"{name}.{i}.weight", (d_in, d_out), dtype)
+                             for i in range(n)])
+
+        self.weight = src.param(name + ".weight", (n, d_in, d_out), draw)
+        self.bias = src.full(name + ".bias", (n, d_out), 0.0)
 
     def named_parameters(self):
         return [(self.name + ".weight", self.weight), (self.name + ".bias", self.bias)]
 
 
 class LayerNorm:
-    def __init__(self, name: str, dim: int, dtype, eps: float = 1e-5):
-        np_dtype = as_np_dtype(dtype)
+    def __init__(self, name: str, dim: int, dtype, eps: float = 1e-5, arrays=None):
+        src = ArraySource(dtype, arrays=arrays)
         self.name = name
         self.eps = eps
-        self.gain = Tensor(np.ones(dim, dtype=np_dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim, dtype=np_dtype), requires_grad=True)
+        self.gain = src.full(name + ".gain", (dim,), 1.0)
+        self.bias = src.full(name + ".bias", (dim,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layernorm(x, self.gain, self.bias, self.eps)
@@ -104,9 +171,9 @@ class LayerNorm:
 
 
 class Embedding:
-    def __init__(self, name: str, rows: int, dim: int, dtype, seed: int):
+    def __init__(self, name: str, rows: int, dim: int, dtype, seed: int, arrays=None):
         self.name = name
-        self.weight = Tensor(normal_init(seed, name + ".weight", (rows, dim), dtype), requires_grad=True)
+        self.weight = ArraySource(dtype, seed, arrays).normal(name + ".weight", (rows, dim))
 
     def named_parameters(self):
         return [(self.name + ".weight", self.weight)]

@@ -9,11 +9,14 @@ quotient itself stays far below the tolerance being enforced.
 from __future__ import annotations
 
 import dataclasses
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import fusion as F
+from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .model import Model, ModelSpec, collapse_to_dense, expected_param_count
 from .optim import AdamW
 from .params import ExpertAffine
@@ -267,7 +270,17 @@ def _briefly_train(model: Model, steps: int, seed: int) -> None:
         opt.step(1e-3)
 
 
+def _collapse_via_checkpoint(model: Model) -> Model:
+    """save -> load_model_checkpoint -> collapse_to_dense, as ``exfusion export`` runs it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model_checkpoint(path, model)
+        return collapse_to_dense(load_model_checkpoint(path).model)
+
+
 def suite_export(seed: int = 0, dtypes=("f32", "f64"), batches: int = 16) -> list[CheckResult]:
+    """Collapse faithfulness, in memory and through a checkpoint; the second
+    must give the in-memory collapse's logits bit for bit."""
     tol = {"f32": 1e-5, "f64": 1e-10}
     results = []
     for dtype in dtypes:
@@ -278,20 +291,27 @@ def suite_export(seed: int = 0, dtypes=("f32", "f64"), batches: int = 16) -> lis
             model = Model(spec, dtype=dtype)
             _briefly_train(model, steps=10, seed=seed)
             dense = collapse_to_dense(model)
+            reloaded = _collapse_via_checkpoint(model)
             rng = np.random.default_rng(seed + 7)
             worst = 0.0
+            bit_equal = True
             for _ in range(batches):
                 tokens = rng.integers(0, spec.vocab_size, size=(4, 6))
                 with no_grad():
                     a = model.forward(tokens, training=False).data
                     b = dense.forward(tokens, training=False).data
+                    c = reloaded.forward(tokens, training=False).data
                 worst = max(worst, float(np.abs(a - b).max()))
+                bit_equal = bit_equal and b.tobytes() == c.tobytes()
             parity = dense.param_count() == expected_param_count(
                 dataclasses.replace(spec, variant="dense"))
             results.append(CheckResult(
                 f"export/collapse variant={variant} dtype={dtype}",
                 worst < tol[dtype] and parity,
                 f"max_logit_diff={worst:.3e} tol={tol[dtype]:g} param_parity={parity}"))
+            results.append(CheckResult(
+                f"export/checkpoint_path variant={variant} dtype={dtype}", bit_equal,
+                f"logits_bit_equal_to_in_memory_collapse={bit_equal}"))
     return results
 
 

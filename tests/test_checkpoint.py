@@ -16,6 +16,7 @@ from exfusion.checkpoint import (
     save_model_checkpoint,
     write_checkpoint,
 )
+from exfusion import params
 from exfusion.model import Model, ModelSpec
 from exfusion.optim import AdamW
 from exfusion.tensor import cross_entropy
@@ -116,6 +117,96 @@ class TestContainer:
         path.write_bytes(bytes(raw[:dims_at + 16 + 10]))  # 10 of the 24 payload bytes
         with pytest.raises(CheckpointError, match="truncated.*24 bytes declared, 10 left"):
             read_checkpoint(path)
+
+
+    def test_undecodable_record_name_names_the_file(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, sample_tensors())
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0xFF  # first byte of the first record name
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="x.bin.*UTF-8"):
+            read_checkpoint(path)
+
+
+def reference_encoding(tensors: dict) -> bytes:
+    """The documented layout, built with struct and tobytes() only."""
+    codes = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
+             np.dtype(np.int64): 2, np.dtype(np.uint8): 3}
+    out = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+    for name, arr in sorted(tensors.items()):
+        encoded = name.encode("utf-8")
+        out += [struct.pack("<I", len(encoded)), encoded,
+                struct.pack("<BB", codes[arr.dtype], arr.ndim)]
+        out += [struct.pack("<Q", d) for d in arr.shape]
+        out.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    return b"".join(out)
+
+
+class TestWriterEncoding:
+    def test_bytes_match_reference_encoding(self, tmp_path):
+        rng = np.random.default_rng(2)
+        tensors = {
+            "f32": rng.normal(size=(3, 5)).astype(np.float32),
+            "f64.transposed": rng.normal(size=(4, 6)).T,
+            "i64": np.arange(-3, 9, dtype=np.int64).reshape(2, 2, 3),
+            "u8": np.frombuffer(b"\x00\x7f\xff", dtype=np.uint8).copy(),
+            "scalar": np.array(2.5, dtype=np.float64),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+        }
+        assert not tensors["f64.transposed"].flags.c_contiguous
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, tensors)
+        assert path.read_bytes() == reference_encoding(tensors)
+        loaded, _ = read_checkpoint(path)
+        for name, arr in tensors.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()
+
+
+def _trained_mb(seed=3, shared_router=False):
+    spec = ModelSpec(depth=2, dim=16, heads=2, expansion=2, vocab_size=9, num_classes=3,
+                     max_seq_len=6, variant="mb", num_experts=4, shared_router=shared_router,
+                     seed=seed)
+    model = Model(spec)
+    opt = AdamW(model.named_parameters(), weight_decay=0.05)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        model.zero_grad()
+        cross_entropy(model.forward(rng.integers(0, 9, size=(4, 6)), training=True),
+                      rng.integers(0, 3, size=4)).backward()
+        opt.step(1e-3)
+    return model, opt
+
+
+class TestAdoptingLoad:
+    def test_load_draws_no_init(self, tmp_path, monkeypatch):
+        model, opt = _trained_mb()
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, model, step=2, optimizer=opt)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a rebuilt model drew a fresh init")
+
+        monkeypatch.setattr(params, "normal_init", no_draws)
+        loaded = load_model_checkpoint(path)
+        want = model.state_arrays()
+        got = loaded.model.state_arrays()
+        assert got.keys() == want.keys()
+        for name, arr in want.items():
+            assert got[name].dtype == arr.dtype and got[name].tobytes() == arr.tobytes(), name
+
+    def test_loaded_arrays_are_owned_and_separate(self, tmp_path):
+        model, opt = _trained_mb()
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, model, step=2, optimizer=opt)
+        loaded = load_model_checkpoint(path)
+        arrays = list(loaded.model.state_arrays().values()) + list(loaded.opt_arrays.values())
+        source = list(model.state_arrays().values()) + list(opt.state_arrays().values())
+        for i, arr in enumerate(arrays):
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert not any(np.shares_memory(arr, other) for other in source)
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
 
 
 class TestModelCheckpoint:

@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from exfusion import cli
@@ -198,6 +199,89 @@ class TestExportCommand:
         code = cli.main(["export", str(src), "--out", str(tmp_path / "x.bin")])
         assert code == 2
         assert "truncated" in capsys.readouterr().err
+
+
+def _drop(name):
+    return lambda tensors, meta: tensors.pop(name)
+
+
+def _drop_meta(key):
+    return lambda tensors, meta: meta.pop(key)
+
+
+def _set(name, value):
+    def change(tensors, meta):
+        tensors[name] = tensors[name].copy()
+        tensors[name].reshape(-1)[0] = value
+    return change
+
+
+def _resize(name):
+    def change(tensors, meta):
+        tensors[name] = np.zeros(tensors[name].size + 1, dtype=tensors[name].dtype)
+    return change
+
+
+# (case, edit of the saved records, text the error must show besides the file name)
+CORRUPT_RECORDS = [
+    ("missing_param", _drop("head.bias"), "head.bias"),
+    ("missing_bank", _drop("blocks.1.ffn.fusion.bank"), "blocks.1.ffn.fusion.bank"),
+    ("missing_dtype", _drop_meta("dtype"), "meta/dtype"),
+    ("missing_step", _drop_meta("step"), "meta/step"),
+    ("wrong_shape", _resize("head.bias"), "head.bias"),
+    ("invalid_dtype", lambda tensors, meta: meta.update(dtype="f16"), "meta/dtype"),
+    ("nonfinite_param", _set("blocks.0.ffn.up.weight", np.nan), "blocks.0.ffn.up.weight"),
+    ("nonfinite_bank", _set("blocks.0.ffn.fusion.bank", np.inf), "blocks.0.ffn.fusion.bank"),
+]
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A config and its step-0 mb checkpoint, trained once for the module."""
+    base = tmp_path_factory.mktemp("saved")
+    cfg = write_config(base, steps=0)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(base / "run")]) == 0
+    return cfg, (base / "run" / "ckpt_000000.bin").read_bytes()
+
+
+def _load_argv(command, ckpt, cfg, tmp_path):
+    if command == "export":
+        return [command, str(ckpt), "--out", str(tmp_path / "x.bin")]
+    return [command, str(ckpt), "--config", str(cfg)]
+
+
+class TestCorruptRecords:
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    @pytest.mark.parametrize("case, change, record", CORRUPT_RECORDS,
+                             ids=[c[0] for c in CORRUPT_RECORDS])
+    def test_load_fault_is_runtime_error(self, tmp_path, capsys, saved_run, command,
+                                         case, change, record):
+        from exfusion.checkpoint import read_checkpoint, write_checkpoint
+
+        cfg, raw = saved_run
+        ckpt = tmp_path / "broken.bin"
+        ckpt.write_bytes(raw)
+        tensors, meta = read_checkpoint(ckpt)
+        change(tensors, meta)
+        write_checkpoint(ckpt, tensors, meta)
+        capsys.readouterr()
+        assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and record in err
+        assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    def test_undecodable_record_name_is_runtime_error(self, tmp_path, capsys, saved_run,
+                                                      command):
+        cfg, raw = saved_run
+        ckpt = tmp_path / "broken.bin"
+        raw = bytearray(raw)
+        raw[16] = 0xFF  # first byte of the first record name
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and "UTF-8" in err
 
 
 class TestEvalCommand:

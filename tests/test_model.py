@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from exfusion import params
 from exfusion.model import (
     AttentionLayer,
     Model,
@@ -351,3 +353,56 @@ class TestCollapse:
         model = Model(small_spec(variant="moe"))
         with pytest.raises(ValueError, match="collapsed"):
             collapse_to_dense(model)
+
+
+class TestRebuiltModels:
+    """Cast and dense export adopt arrays instead of drawing and overwriting."""
+
+    def _moved_mb(self):
+        model = Model(small_spec(variant="mb", shared_router=False))
+        for seed in range(2):
+            model.forward(rand_tokens(model.spec, seed=seed), training=True)
+        return model
+
+    def _rebuilds(self, model):
+        return {"export": collapse_to_dense(model), "cast f32": model.cast("f32"),
+                "cast f64": model.cast("f64")}
+
+    def test_rebuilds_draw_no_init(self, monkeypatch):
+        model = self._moved_mb()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a rebuilt model drew a fresh init")
+
+        monkeypatch.setattr(params, "normal_init", no_draws)
+        rebuilt = self._rebuilds(model)
+        for name, arr in model.state_arrays().items():
+            assert rebuilt["cast f32"].state_arrays()[name].tobytes() == arr.tobytes(), name
+            assert rebuilt["cast f64"].state_arrays()[name].dtype == np.float64, name
+
+    def test_rebuilt_arrays_are_owned_and_separate(self):
+        model = self._moved_mb()
+        source = list(model.state_arrays().values())
+        rebuilt = [list(m.state_arrays().values()) for m in self._rebuilds(model).values()]
+        for arrays in rebuilt:
+            for arr in arrays:
+                assert arr.flags.writeable and arr.flags.c_contiguous
+                assert not any(np.shares_memory(arr, other) for other in source)
+        everything = [arr for arrays in rebuilt for arr in arrays]
+        for a, b in itertools.combinations(everything, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_export_unmoved_by_later_source_changes(self):
+        model = self._moved_mb()
+        dense = collapse_to_dense(model)
+        tokens = rand_tokens(model.spec, seed=9)
+        with no_grad():
+            before = dense.forward(tokens).data.copy()
+        for _, t in model.named_parameters():
+            t.data += 0.5
+        for _, buf in model.named_buffers():
+            buf += 0.25
+        model.forward(tokens, training=True)  # updates the banks in place as well
+        with no_grad():
+            after = dense.forward(tokens).data
+        assert after.tobytes() == before.tobytes()
