@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .model import VARIANTS, Model
-from .optim import AdamW, CosineSchedule, clip_grad_norm
+from .optim import AdamW, CosineSchedule, clip_grad_norm, no_decay_names
 from .tasks import build_task
 from .train import batch_loss
 
@@ -39,7 +39,7 @@ def run_bench(run, variants=VARIANTS) -> list[BenchRow]:
         spec = dataclasses.replace(run.model, variant=variant)
         model = Model(spec, dtype=cfg.dtype)
         named = model.named_parameters()
-        opt = AdamW(named, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+        opt = AdamW(named, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, no_decay_names(named))
         lanes.append((variant, model, named, opt, []))
 
     for step in range(1, total + 1):

@@ -199,8 +199,11 @@ def load_model_checkpoint(path) -> LoadedModel:
     """Rebuild the saved model from its records, adopting them as its arrays.
 
     Every fault in what the file holds (a missing, wrong-shaped or
-    non-finite record, undecodable metadata) is a ``CheckpointError``
-    naming the file and the record.
+    non-finite record, undecodable metadata, a record the model does not
+    use) is a ``CheckpointError`` naming the file and the record. Besides
+    the model's parameters and buffers, only the optimizer moments of its
+    trainable parameters (``opt/m/<name>``, ``opt/v/<name>``) and
+    ``opt/step`` may be present.
     """
     from .model import Model, ModelSpec
 
@@ -215,4 +218,11 @@ def load_model_checkpoint(path) -> LoadedModel:
         model = Model.from_arrays(spec, state, dtype)
     except (KeyError, ValueError, NonFiniteError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
+    named = model.named_parameters()
+    known = {name for name, _ in named} | {name for name, _ in model.named_buffers()}
+    known.update(f"opt/{moment}/{name}" for name, t in named if t.requires_grad for moment in "mv")
+    known.add("opt/step")
+    unknown = next((name for name in tensors if name not in known), None)
+    if unknown is not None:
+        raise CheckpointError(f"{path}: unknown record {unknown!r}")
     return LoadedModel(model, step, meta, opt_arrays)

@@ -20,12 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .moe import Router, route
-from .params import ArraySource, ExpertAffine, affine_forward
+from .params import ArraySource, ExpertAffine
 from .tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
     add,
+    affine,
     as_np_dtype,
     combine,
     gelu,
@@ -65,8 +66,8 @@ def fused_ffn_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine,
     wd = weights_up if weights_down is None else weights_down
     fu = fuse(up, weights_up)
     fd = fuse(down, wd)
-    h = gelu(affine_forward(x, fu.weight, fu.bias))
-    return affine_forward(h, fd.weight, fd.bias)
+    h = gelu(affine(x, fu.weight, fu.bias))
+    return affine(h, fd.weight, fd.bias)
 
 
 def router_fusion_weights(x: Tensor, router: Router) -> Tensor:

@@ -11,7 +11,7 @@ per-position logits.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +24,10 @@ from .tensor import (
     Tensor,
     add,
     as_np_dtype,
+    attention,
     embedding,
     gather_rows,
-    matmul,
-    reshape,
-    scale,
-    softmax,
     tmean,
-    transpose,
 )
 
 VARIANTS = ("dense", "moe", "sw", "dw", "mb")
@@ -39,6 +35,14 @@ OBJECTIVES = ("classification", "lm")
 EXPERT_INITS = ("independent", "replicate")
 
 MASK_FILL = -1e9
+
+
+@functools.lru_cache(maxsize=64)
+def causal_mask(l: int, dtype: np.dtype) -> np.ndarray:
+    """Additive [l, l] mask, MASK_FILL above the diagonal; one read-only array per (l, dtype)."""
+    mask = np.triu(np.full((l, l), MASK_FILL), k=1).astype(dtype)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass
@@ -132,26 +136,17 @@ class AttentionLayer:
 
     def __init__(self, name: str, dim: int, heads: int, dtype, seed: int, arrays=None):
         self.heads = heads
-        self.head_dim = dim // heads
         self.q = Affine(name + ".q", dim, dim, dtype, seed, arrays)
         self.k = Affine(name + ".k", dim, dim, dtype, seed, arrays)
         self.v = Affine(name + ".v", dim, dim, dtype, seed, arrays)
         self.o = Affine(name + ".o", dim, dim, dtype, seed, arrays)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None, return_weights: bool = False):
-        b, l, d = x.shape
-
-        def heads(t: Tensor) -> Tensor:
-            return transpose(reshape(t, (b, l, self.heads, self.head_dim)), (0, 2, 1, 3))
-
-        q, k, v = heads(self.q(x)), heads(self.k(x)), heads(self.v(x))
-        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
-        if mask is not None:
-            scores = add(scores, Tensor(mask.astype(scores.data.dtype)))
-        probs = softmax(scores, axis=-1)
-        ctx = reshape(transpose(matmul(probs, v), (0, 2, 1, 3)), (b, l, d))
-        out = self.o(ctx)
-        return (out, probs) if return_weights else out
+        q, k, v = self.q(x), self.k(x), self.v(x)
+        if return_weights:
+            ctx, probs = attention(q, k, v, self.heads, mask, return_weights=True)
+            return self.o(ctx), Tensor(probs)
+        return self.o(attention(q, k, v, self.heads, mask))
 
     def named_parameters(self):
         out = []
@@ -288,7 +283,7 @@ class Model:
             raise ShapeError(f"sequence length {l} exceeds max_seq_len {self.spec.max_seq_len}")
         x = embedding(self.embed.weight, tokens)
         x = add(x, gather_rows(self.pos.weight, np.arange(l), unique=True))
-        mask = self._causal_mask(l) if self.spec.objective == "lm" else None
+        mask = causal_mask(l, x.dtype) if self.spec.objective == "lm" else None
         for block in self.blocks:
             x = block.forward(x, mask, training)
         x = self.final_ln(x)
@@ -297,10 +292,6 @@ class Model:
         return self.head(x)
 
     __call__ = forward
-
-    @staticmethod
-    def _causal_mask(l: int) -> np.ndarray:
-        return np.triu(np.full((l, l), MASK_FILL), k=1)
 
     # -- state ------------------------------------------------------------------
 

@@ -14,11 +14,11 @@ from .params import Affine, ExpertAffine
 from .tensor import (
     Tensor,
     add,
+    affine,
     gather_rows,
     gelu,
     index_first,
     index_last,
-    matmul,
     mul,
     reshape,
     scatter_rows,
@@ -67,8 +67,8 @@ def topk_moe_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine,
         if token_idx.size == 0:
             continue
         xi = gather_rows(flat, token_idx, unique=True)
-        h = gelu(add(matmul(xi, index_first(up.weight, i)), index_first(up.bias, i)))
-        yi = add(matmul(h, index_first(down.weight, i)), index_first(down.bias, i))
+        h = gelu(affine(xi, index_first(up.weight, i), index_first(up.bias, i)))
+        yi = affine(h, index_first(down.weight, i), index_first(down.bias, i))
         gi = index_last(gather_rows(gates, token_idx, unique=True), i)
         yi = mul(yi, reshape(gi, (token_idx.size, 1)))
         contrib = scatter_rows(yi, token_idx, t, unique=True)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .params import checked_array
+from .tensor import NonFiniteError, Tensor
 
 
 class AdamW:
@@ -81,15 +82,28 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, _ in self.params:
-            for prefix, store in (("opt/m/", self.m), ("opt/v/", self.v)):
+        """Adopt saved moments and step count. A missing, wrong-shaped or
+        non-finite record is refused before any state changes."""
+        moments = []
+        for prefix, store in (("opt/m/", self.m), ("opt/v/", self.v)):
+            moment = {}
+            for name, current in store.items():
                 key = prefix + name
-                if key not in arrays:
-                    raise KeyError(f"missing optimizer state {key!r}")
-                if arrays[key].shape != store[name].shape:
-                    raise ShapeError(f"optimizer state {key!r} has shape {arrays[key].shape}")
-                store[name] = arrays[key].astype(store[name].dtype, copy=True)
-        self.step_count = int(arrays["opt/step"][0])
+                arr = checked_array(arrays, key, current.shape)
+                if not np.isfinite(arr).all():
+                    raise NonFiniteError(f"array {key!r} has non-finite values")
+                moment[name] = arr.astype(current.dtype, copy=True)
+            moments.append(moment)
+        step = checked_array(arrays, "opt/step", (1,))
+        if step.dtype.kind not in "iu" or step[0] < 0:
+            raise ValueError(f"array 'opt/step' must hold a non-negative integer; got {step[0]!r}")
+        self.m, self.v = moments
+        self.step_count = int(step[0])
+
+
+def no_decay_names(named_params) -> frozenset[str]:
+    """Names AdamW updates without weight decay: the learnable fusion weights."""
+    return frozenset(name for name, _ in named_params if name.endswith(".fusion.weights"))
 
 
 def clip_grad_norm(named_params, max_norm: float) -> float:

@@ -17,27 +17,9 @@ import hashlib
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor, add, as_np_dtype, layernorm, matmul, reshape
+from .tensor import NonFiniteError, ShapeError, Tensor, affine, as_np_dtype, layernorm
 
 INIT_STD = 0.02
-
-
-def affine_forward(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``x @ weight + bias`` with leading dims flattened around one gemm.
-
-    Collapsing [..., d_in] to 2D keeps the weight gradient a single
-    [d_in, tokens] @ [tokens, d_out] product instead of a batched matmul
-    that allocates a per-batch [d_in, d_out] stack before reduction.
-    """
-    if x.ndim == 2:
-        return add(matmul(x, weight), bias)
-    lead = x.shape[:-1]
-    tokens = 1
-    for d in lead:
-        tokens *= d
-    flat = reshape(x, (tokens, x.shape[-1]))
-    out = add(matmul(flat, weight), bias)
-    return reshape(out, lead + (weight.shape[1],))
 
 
 def name_rng(seed: int, name: str) -> np.random.Generator:
@@ -119,7 +101,7 @@ class Affine:
         self.bias = src.full(name + ".bias", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return affine_forward(x, self.weight, self.bias)
+        return affine(x, self.weight, self.bias)
 
     def named_parameters(self):
         return [(self.name + ".weight", self.weight), (self.name + ".bias", self.bias)]

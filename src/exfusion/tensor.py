@@ -4,11 +4,23 @@ Tensors wrap numpy arrays (float32 by default, float64 selectable for
 verification work). Every primitive records a vector-Jacobian closure; a
 backward pass linearizes the graph in topological order and visits each
 recorded op exactly once, accumulating gradients into ``.grad`` buffers.
+
+``affine`` (``x @ W + b``) and ``attention`` (multi-head scaled dot-product
+attention from projected q/k/v to the merged context) are single tape
+nodes with hand-written vjps; they compute the same numpy operations, in
+the same order and on the same operand layouts, as the chain of small
+primitives they replace, so their outputs are bit-identical to it.
+
+In-place rule: a primitive (forward or vjp) may write in place only into
+arrays it allocated in the same call and that no other node holds yet. The
+data of a parent is never mutated, nor is anything a vjp closure keeps, so
+a graph can be differentiated more than once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +36,8 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
+    "affine",
+    "attention",
     "gelu",
     "softmax",
     "layernorm",
@@ -340,6 +354,94 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(np.matmul(ad, bd), (a, b), vjp)
 
 
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` for ``x`` [..., d_in], weight [d_in, d_out], bias [d_out].
+
+    Leading dims are flattened around one gemm, so the weight gradient is a
+    single [d_in, tokens] @ [tokens, d_out] product rather than a batched
+    matmul that stacks a [d_in, d_out] per batch row. The bias is added in
+    place into the fresh product.
+    """
+    _check_same_dtype(x, weight, "affine")
+    _check_same_dtype(x, bias, "affine")
+    if x.ndim < 1 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"affine: input {x.shape} does not fit weight {weight.shape}")
+    if bias.shape != (weight.shape[1],):
+        raise ShapeError(f"affine: bias {bias.shape} does not fit weight {weight.shape}")
+    x_shape = x.shape
+    flat = x.ndim != 2
+    xd = x.data.reshape(-1, x_shape[-1]) if flat else x.data
+    wd = weight.data
+    y = np.matmul(xd, wd)
+    np.add(y, bias.data, out=y)
+
+    def vjp(g):
+        g2 = g.reshape(xd.shape[0], wd.shape[1]) if flat else g
+        gx = np.matmul(g2, wd.T)
+        gw = np.matmul(xd.T, g2)
+        gx = gx.reshape(x_shape) if flat else gx
+        return gx, gw, g2.sum(axis=0)
+
+    out = y.reshape(x_shape[:-1] + (wd.shape[1],)) if flat else y
+    return Tensor._from_op(out, (x, weight, bias), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
+              return_weights: bool = False):
+    """Multi-head scaled dot-product attention, projected q/k/v [b, l, d] to context [b, l, d].
+
+    ``mask`` is an additive [l, l] array (a plain array, never on the tape).
+    The scores are scaled, masked and softmaxed in the one buffer the score
+    matmul allocates. With ``return_weights`` the [b, heads, l, l]
+    probabilities come back too, as an array the caller must not modify.
+    """
+    _check_same_dtype(q, k, "attention")
+    _check_same_dtype(q, v, "attention")
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention: q/k/v must share one [b, l, d] shape; got "
+                         f"{q.shape}, {k.shape} and {v.shape}")
+    b, l, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: dim {d} is not a multiple of {heads} heads")
+    if mask is not None and mask.shape != (l, l):
+        raise ShapeError(f"attention: mask {mask.shape} does not fit length {l}")
+    hd = d // heads
+    s = 1.0 / math.sqrt(hd)
+
+    def split(t: np.ndarray) -> np.ndarray:
+        return t.reshape(b, l, heads, hd).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    kt = kh.transpose(0, 1, 3, 2)
+    p = np.matmul(qh, kt)
+    np.multiply(p, s, out=p)
+    if mask is not None:
+        np.add(p, mask.astype(p.dtype, copy=False), out=p)
+    np.subtract(p, p.max(axis=-1, keepdims=True), out=p)
+    np.exp(p, out=p)
+    np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+    out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, l, d)
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        return t.transpose(0, 2, 1, 3).reshape(b, l, d)
+
+    def vjp(g):
+        g4 = g.reshape(b, l, heads, hd).transpose(0, 2, 1, 3)
+        gs = np.matmul(g4, np.swapaxes(vh, -1, -2))
+        gv = np.matmul(np.swapaxes(p, -1, -2), g4)
+        # softmax vjp p * (g - <g, p>), then the scale, in the buffer gs
+        dot = (gs * p).sum(axis=-1, keepdims=True)
+        np.subtract(gs, dot, out=gs)
+        np.multiply(p, gs, out=gs)
+        np.multiply(gs, s, out=gs)
+        gq = np.matmul(gs, np.swapaxes(kt, -1, -2))
+        gk = np.matmul(np.swapaxes(qh, -1, -2), gs).transpose(0, 1, 3, 2)
+        return merge(gq), merge(gk), merge(gv)
+
+    ctx = Tensor._from_op(out, (q, k, v), vjp)
+    return (ctx, p) if return_weights else ctx
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-CDF GELU x*Phi(x) (erf form, not the tanh approximation).
 
@@ -454,21 +556,30 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
             f"layernorm gain/bias must have shape ({a.shape[-1]},); got {gain.shape} and {bias.shape}"
         )
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
     gd = gain.data
     reduce_axes = tuple(range(x.ndim - 1))
+    # xc = x - mu becomes xhat in place; the xc * xc buffer becomes the output
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = out.mean(axis=-1, keepdims=True)
+    np.add(inv, eps, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(xhat, gd, out=out)
+    np.add(out, bias.data, out=out)
 
     def vjp(g):
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        dgain = (g * xhat).sum(axis=reduce_axes)
+        # dx = inv * (dxhat - m1 - xhat * m2), built in the dxhat buffer
+        dx = g * gd
+        m1 = dx.mean(axis=-1, keepdims=True)
+        t = dx * xhat
+        m2 = t.mean(axis=-1, keepdims=True)
+        np.subtract(dx, m1, out=dx)
+        np.multiply(xhat, m2, out=t)
+        np.subtract(dx, t, out=dx)
+        np.multiply(inv, dx, out=dx)
+        dgain = np.multiply(g, xhat, out=t).sum(axis=reduce_axes)
         dbias = g.sum(axis=reduce_axes)
         return dx, dgain, dbias
 

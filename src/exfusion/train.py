@@ -16,11 +16,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checkpoint import load_model_checkpoint, meta_json, save_model_checkpoint
+from .checkpoint import CheckpointError, load_model_checkpoint, meta_json, save_model_checkpoint
 from .model import Model, ModelSpec
-from .optim import AdamW, CosineSchedule, clip_grad_norm
+from .optim import AdamW, CosineSchedule, clip_grad_norm, no_decay_names
 from .tasks import TaskSpec, build_task
-from .tensor import Tensor, cross_entropy, no_grad, reshape
+from .tensor import NonFiniteError, Tensor, cross_entropy, no_grad, reshape
 
 EVAL_BATCH = 64
 
@@ -194,10 +194,12 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
         start_step = 0
 
     named = model.named_parameters()
-    no_decay = frozenset(name for name, _ in named if name.endswith(".fusion.weights"))
-    opt = AdamW(named, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, no_decay)
-    if loaded is not None and loaded.opt_arrays:
-        opt.load_state_arrays(loaded.opt_arrays)
+    opt = AdamW(named, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, no_decay_names(named))
+    if loaded is not None:
+        try:
+            opt.load_state_arrays(loaded.opt_arrays)
+        except (KeyError, ValueError, NonFiniteError) as exc:
+            raise CheckpointError(f"{resume_from}: cannot restore the optimizer: {exc}") from None
     sched = CosineSchedule(cfg.warmup_steps, cfg.steps, cfg.base_lr, cfg.min_lr)
 
     metrics_path = out_dir / "metrics.csv"

@@ -17,12 +17,14 @@ import numpy as np
 
 from . import fusion as F
 from .checkpoint import load_model_checkpoint, save_model_checkpoint
-from .model import Model, ModelSpec, collapse_to_dense, expected_param_count
+from .model import Model, ModelSpec, causal_mask, collapse_to_dense, expected_param_count
 from .optim import AdamW
 from .params import ExpertAffine
 from .tensor import (
     Tensor,
     add,
+    affine,
+    attention,
     cross_entropy,
     gelu,
     layernorm,
@@ -122,14 +124,25 @@ def _primitive_cases(rng):
     b = rng.normal(size=(5,)) * 0.1
     u = rng.normal(size=(4, 5))
     t = rng.integers(0, 3, size=4)
+    logits = rng.normal(size=(4, 3))
+    qkv = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
+    u3 = rng.normal(size=(2, 3, 4))
+
+    def attend(ts):
+        mask = causal_mask(3, ts[0].dtype)
+        return tsum(mul(attention(ts[0], ts[1], ts[2], 2, mask), Tensor(u3.astype(ts[0].dtype))))
+
     return [
         ("matmul", [x, y], lambda ts: tsum(matmul(ts[0], ts[1]))),
+        ("affine", [x, y, b[:3]], lambda ts: tsum(mul(affine(ts[0], ts[1], ts[2]),
+                                                      Tensor(u[:, :3].astype(ts[0].dtype))))),
+        ("attention", qkv, attend),
         ("add_mul", [x, u], lambda ts: tsum(mul(add(ts[0], ts[1]), ts[0]))),
         ("gelu", [x], lambda ts: tsum(gelu(ts[0]))),
         ("softmax", [x], lambda ts: tsum(mul(softmax(ts[0], -1),
                                              Tensor(u.astype(ts[0].data.dtype))))),
         ("layernorm", [x, g, b], lambda ts: tsum(layernorm(ts[0], ts[1], ts[2]))),
-        ("cross_entropy", [rng.normal(size=(4, 3))], lambda ts: cross_entropy(ts[0], t)),
+        ("cross_entropy", [logits], lambda ts: cross_entropy(ts[0], t)),
     ]
 
 

@@ -4,9 +4,19 @@ Everything here deliberately avoids the library's backward pass and
 vectorized shortcuts: gradients come from central finite differences on the
 forward alone, fusion references from per-expert loops, EMA references from
 the closed-form geometric sum, and the task probe from counting statistics.
+
+The exception is the composite chains that the fused ``affine`` and
+``attention`` primitives replace. They are kept here, built from the
+library's smaller primitives, so the fused ops can be held byte-equal to
+them, forward and backward. ``layernorm_reference`` is the layernorm
+forward and vjp as separate numpy temporaries, in the primitive's order.
 """
 
+import math
+
 import numpy as np
+
+from exfusion.tensor import Tensor, add, matmul, reshape, scale, softmax, transpose
 
 
 def numeric_gradient(fn, arrays, wrt, h):
@@ -81,3 +91,48 @@ def token_histogram_probe(train_tokens, train_labels, val_tokens, vocab, num_cla
     for c in range(num_classes):
         scores[:, c] = logp[c, pos, val_tokens].sum(axis=1)
     return scores.argmax(axis=1)
+
+
+def affine_composite(x, weight, bias):
+    """``x @ W + b`` as reshape -> matmul -> add -> reshape around one 2-D gemm."""
+    if x.ndim == 2:
+        return add(matmul(x, weight), bias)
+    lead = x.shape[:-1]
+    flat = reshape(x, (math.prod(lead), x.shape[-1]))
+    return reshape(add(matmul(flat, weight), bias), lead + (weight.shape[1],))
+
+
+def attention_composite(q, k, v, heads, mask=None):
+    """Multi-head attention from projected q/k/v [b, l, d]: (context, probabilities).
+
+    Head split, k transpose, scale, an additive mask tensor, softmax, the
+    two matmuls and the head merge, each its own tape node.
+    """
+    b, l, d = q.shape
+    hd = d // heads
+
+    def split(t):
+        return transpose(reshape(t, (b, l, heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+    if mask is not None:
+        scores = add(scores, Tensor(mask.astype(scores.data.dtype)))
+    probs = softmax(scores, axis=-1)
+    return reshape(transpose(matmul(probs, vh), (0, 2, 1, 3)), (b, l, d)), probs
+
+
+def layernorm_reference(x, gain, bias, g, eps=1e-5):
+    """Layernorm output and the (x, gain, bias) gradients for upstream ``g``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    reduce_axes = tuple(range(x.ndim - 1))
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - xhat * m2)
+    return out, dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)

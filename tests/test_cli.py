@@ -216,6 +216,17 @@ def _set(name, value):
     return change
 
 
+def _add_copy(name, of):
+    def change(tensors, meta):
+        tensors[name] = tensors[of].copy()
+    return change
+
+
+def _drop_optimizer(tensors, meta):
+    for name in [n for n in tensors if n.startswith("opt/")]:
+        del tensors[name]
+
+
 def _resize(name):
     def change(tensors, meta):
         tensors[name] = np.zeros(tensors[name].size + 1, dtype=tensors[name].dtype)
@@ -232,6 +243,20 @@ CORRUPT_RECORDS = [
     ("invalid_dtype", lambda tensors, meta: meta.update(dtype="f16"), "meta/dtype"),
     ("nonfinite_param", _set("blocks.0.ffn.up.weight", np.nan), "blocks.0.ffn.up.weight"),
     ("nonfinite_bank", _set("blocks.0.ffn.fusion.bank", np.inf), "blocks.0.ffn.fusion.bank"),
+    ("unknown_param", _add_copy("blocks.0.ffn.up.weigth", "blocks.0.ffn.up.weight"),
+     "blocks.0.ffn.up.weigth"),
+    ("unknown_moment", _add_copy("opt/m/blocks.0.ffn.up.weigth", "opt/m/blocks.0.ffn.up.weight"),
+     "opt/m/blocks.0.ffn.up.weigth"),
+]
+
+# Faults in the optimizer records, which only a resume reads.
+CORRUPT_OPTIMIZER = [
+    ("missing_moment", _drop("opt/m/head.bias"), "opt/m/head.bias"),
+    ("missing_step", _drop("opt/step"), "opt/step"),
+    ("wrong_shape_moment", _resize("opt/v/head.bias"), "opt/v/head.bias"),
+    ("nonfinite_moment", _set("opt/m/blocks.0.ffn.up.weight", np.nan),
+     "opt/m/blocks.0.ffn.up.weight"),
+    ("no_optimizer_state", _drop_optimizer, "opt/m/"),
 ]
 
 
@@ -242,6 +267,18 @@ def saved_run(tmp_path_factory):
     cfg = write_config(base, steps=0)
     assert cli.main(["train", "--config", str(cfg), "--out", str(base / "run")]) == 0
     return cfg, (base / "run" / "ckpt_000000.bin").read_bytes()
+
+
+def _broken_copy(saved_run, tmp_path, change):
+    from exfusion.checkpoint import read_checkpoint, write_checkpoint
+
+    cfg, raw = saved_run
+    ckpt = tmp_path / "broken.bin"
+    ckpt.write_bytes(raw)
+    tensors, meta = read_checkpoint(ckpt)
+    change(tensors, meta)
+    write_checkpoint(ckpt, tensors, meta)
+    return cfg, ckpt
 
 
 def _load_argv(command, ckpt, cfg, tmp_path):
@@ -256,14 +293,7 @@ class TestCorruptRecords:
                              ids=[c[0] for c in CORRUPT_RECORDS])
     def test_load_fault_is_runtime_error(self, tmp_path, capsys, saved_run, command,
                                          case, change, record):
-        from exfusion.checkpoint import read_checkpoint, write_checkpoint
-
-        cfg, raw = saved_run
-        ckpt = tmp_path / "broken.bin"
-        ckpt.write_bytes(raw)
-        tensors, meta = read_checkpoint(ckpt)
-        change(tensors, meta)
-        write_checkpoint(ckpt, tensors, meta)
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, change)
         capsys.readouterr()
         assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
         err = capsys.readouterr().err
@@ -282,6 +312,20 @@ class TestCorruptRecords:
         assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
         err = capsys.readouterr().err
         assert "broken.bin" in err and "UTF-8" in err
+
+
+class TestResumeOptimizerFaults:
+    @pytest.mark.parametrize("case, change, record", CORRUPT_OPTIMIZER,
+                             ids=[c[0] for c in CORRUPT_OPTIMIZER])
+    def test_fault_is_runtime_error(self, tmp_path, capsys, saved_run, case, change, record):
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, change)
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and record in err
+        assert not (out / "metrics.csv").exists()
 
 
 class TestEvalCommand:
@@ -359,6 +403,23 @@ class TestBenchCommand:
         assert set(rows) == {"dense", "moe", "sw", "dw", "mb"}
         assert rows["dense"].split()[-1] == "x1.00"
         assert "no auxiliary balancing loss" in out
+
+    def test_dw_lane_does_not_decay_fusion_weights(self, tmp_path, monkeypatch):
+        from exfusion import bench, optim
+        from exfusion.config import load_run_config
+
+        made = []
+
+        class Recorded(optim.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(bench, "AdamW", Recorded)
+        bench.run_bench(load_run_config(write_config(tmp_path, variant="dw")), variants=("dw",))
+        (opt,) = made
+        assert opt.weight_decay > 0
+        assert opt.no_decay == {"blocks.0.ffn.fusion.weights", "blocks.1.ffn.fusion.weights"}
 
 
 def test_console_script_entry():

@@ -10,13 +10,15 @@ from exfusion.model import (
     AttentionLayer,
     Model,
     ModelSpec,
+    causal_mask,
     collapse_to_dense,
     expected_param_count,
 )
 from exfusion.optim import AdamW
 from exfusion.tensor import ShapeError, Tensor, cross_entropy, no_grad
+from exfusion.train import batch_loss
 
-from oracles import max_rel_err, numeric_gradient
+from oracles import affine_composite, attention_composite, max_rel_err, numeric_gradient
 
 
 def small_spec(**kw):
@@ -78,6 +80,27 @@ class TestAttention:
         x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)).astype(np.float32))
         _, probs = attn(x, return_weights=True)
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    def test_layer_and_weights_equal_the_composite(self, dtype, masked):
+        attn = AttentionLayer("a", 16, 4, dtype, 5)
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)), dtype=dtype)
+        mask = causal_mask(7, x.dtype) if masked else None
+        out, probs = attn(x, mask, return_weights=True)
+        q, k, v, o = ((lin.weight, lin.bias) for lin in (attn.q, attn.k, attn.v, attn.o))
+        ctx, ref_probs = attention_composite(affine_composite(x, *q), affine_composite(x, *k),
+                                             affine_composite(x, *v), 4, mask)
+        assert out.data.tobytes() == affine_composite(ctx, *o).data.tobytes()
+        assert probs.data.shape == (2, 4, 7, 7)
+        assert probs.data.tobytes() == ref_probs.data.tobytes()
+
+    def test_causal_mask_is_cached_read_only_per_length_and_dtype(self):
+        m = causal_mask(5, np.dtype(np.float32))
+        assert m is causal_mask(5, np.dtype(np.float32))
+        assert m.dtype == np.float32 and not m.flags.writeable
+        assert causal_mask(5, np.dtype(np.float64)).dtype == np.float64
+        assert m.tobytes() == np.triu(np.full((5, 5), -1e9), k=1).astype(np.float32).tobytes()
 
 
 class TestFFNSlot:
@@ -188,6 +211,30 @@ class TestModelForward:
             m.forward(np.zeros((1, 9), dtype=int))
         with pytest.raises(ValueError, match="token id"):
             m.forward(np.full((1, 4), 11))
+
+
+def tape_nodes(root) -> int:
+    """Tensors reachable from ``root`` through the tape, leaves included."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestTapeSize:
+    def test_depth2_dense_step(self):
+        # 40 leaves: embed, pos, 17 per block (2 layernorms, q/k/v/o, up, down,
+        # the static fusion weights), final_ln, head. 39 ops: embedding, position
+        # gather and add; per block ln1, q/k/v affines, attention, o affine,
+        # residual add, ln2, four fusion combines, up affine, gelu, down affine,
+        # residual add; final_ln, head affine, the logits reshape, cross_entropy.
+        spec = small_spec(objective="lm")
+        tokens = rand_tokens(spec)
+        loss = batch_loss(Model(spec), tokens, np.roll(tokens, -1, axis=1), training=True)
+        assert tape_nodes(loss) == 79
 
 
 class TestParamAudit:

@@ -30,7 +30,13 @@ from exfusion.tensor import (
     tsum,
 )
 
-from oracles import max_rel_err, numeric_gradient
+from oracles import (
+    affine_composite,
+    attention_composite,
+    layernorm_reference,
+    max_rel_err,
+    numeric_gradient,
+)
 
 F32_TOL = 1e-4
 F64_TOL = 1e-8
@@ -363,6 +369,154 @@ class TestGelu:
 
 
 # ---------------------------------------------------------------------------
+# fused primitives: byte-equal to the composites they replace
+# ---------------------------------------------------------------------------
+
+
+def _same_bytes(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def _run(op, arrays, upstream):
+    """Forward ``op`` on fresh leaves, backward through <out, upstream>; (out, grads)."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    tsum(mul(out, Tensor(upstream))).backward()
+    return out, [t.grad for t in leaves]
+
+
+def _assert_byte_equal(fused, reference, arrays, upstream):
+    out, grads = _run(fused, arrays, upstream)
+    ref_out, ref_grads = _run(reference, arrays, upstream)
+    assert _same_bytes(out.data, ref_out.data), "forward"
+    for i, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert _same_bytes(g, r), f"gradient of input {i}"
+
+
+# (b, l, d, heads) incl. l=1 and heads=1; at head dim 32 a different operand
+# layout in a matmul (say a contiguous k transpose) changes the bits
+ATTN_SHAPES = [(2, 5, 8, 2), (2, 1, 8, 2), (3, 4, 6, 1), (1, 7, 12, 3), (2, 16, 64, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+class TestFusedPrimitives:
+    @pytest.mark.parametrize("layout", ["2d", "3d", "4d", "1d", "transposed_3d",
+                                        "transposed_2d", "transposed_weight", "wide"])
+    def test_affine_matches_composite(self, dtype, layout):
+        rng = np.random.default_rng(7)
+        d_in, d_out = (64, 48) if layout == "wide" else (6, 5)
+        x = {"wide": lambda: rng.normal(size=(3, 16, d_in)),
+             "2d": lambda: rng.normal(size=(7, d_in)),
+             "3d": lambda: rng.normal(size=(2, 5, d_in)),
+             "4d": lambda: rng.normal(size=(2, 3, 2, d_in)),
+             "1d": lambda: rng.normal(size=(d_in,)),
+             "transposed_3d": lambda: rng.normal(size=(5, 2, d_in)).transpose(1, 0, 2),
+             "transposed_2d": lambda: rng.normal(size=(d_in, 7)).T,
+             "transposed_weight": lambda: rng.normal(size=(4, d_in))}[layout]().astype(dtype)
+        w = rng.normal(size=(d_in, d_out)).astype(dtype)
+        if layout == "transposed_weight":
+            w = np.ascontiguousarray(w.T).T
+        b = rng.normal(size=d_out).astype(dtype)
+        u = rng.normal(size=x.shape[:-1] + (d_out,)).astype(dtype)
+        _assert_byte_equal(T.affine, affine_composite, [x, w, b], u)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    @pytest.mark.parametrize("shape", ATTN_SHAPES, ids=lambda s: "b{}l{}d{}h{}".format(*s))
+    def test_attention_matches_composite(self, dtype, shape, masked):
+        b, l, d, heads = shape
+        rng = np.random.default_rng(sum(shape))
+        q, k, v = (rng.normal(size=(b, l, d)).astype(dtype) for _ in range(3))
+        mask = np.triu(np.full((l, l), -1e9), k=1).astype(dtype) if masked else None
+        u = rng.normal(size=(b, l, d)).astype(dtype)
+
+        def fused(*qkv):
+            return T.attention(*qkv, heads, mask)
+
+        def reference(*qkv):
+            return attention_composite(*qkv, heads, mask)[0]
+
+        _assert_byte_equal(fused, reference, [q, k, v], u)
+        _, probs = T.attention(*(Tensor(a) for a in (q, k, v)), heads, mask, return_weights=True)
+        _, ref_probs = attention_composite(*(Tensor(a) for a in (q, k, v)), heads, mask)
+        assert _same_bytes(probs, ref_probs.data)
+
+    def test_attention_non_contiguous_inputs(self, dtype):
+        rng = np.random.default_rng(11)
+        b, l, d, heads = 2, 5, 8, 2
+        q = rng.normal(size=(l, b, d)).astype(dtype).transpose(1, 0, 2)
+        k = rng.normal(size=(b, d, l)).astype(dtype).transpose(0, 2, 1)
+        v = rng.normal(size=(b, l, 2 * d)).astype(dtype)[..., ::2]
+        assert not any(a.flags.c_contiguous for a in (q, k, v))
+        mask = np.triu(np.full((l, l), -1e9), k=1).astype(dtype)
+        u = rng.normal(size=(b, l, d)).astype(dtype)
+        _assert_byte_equal(lambda *t: T.attention(*t, heads, mask),
+                           lambda *t: attention_composite(*t, heads, mask)[0], [q, k, v], u)
+
+    @pytest.mark.parametrize("layout", ["2d", "3d", "permuted", "transposed", "strided"])
+    def test_layernorm_matches_reference(self, dtype, layout):
+        rng = np.random.default_rng(13)
+        d = 40  # past numpy's 8-wide pairwise-sum unrolling, so reduction order shows
+        x = {"2d": lambda: rng.normal(size=(6, d)),
+             "3d": lambda: rng.normal(size=(3, 5, d)),
+             "permuted": lambda: rng.normal(size=(5, 3, d)).transpose(1, 0, 2),
+             "transposed": lambda: rng.normal(size=(d, 5, 3)).transpose(2, 1, 0),
+             "strided": lambda: rng.normal(size=(3, 5, 2 * d))[..., ::2]}[layout]()
+        x = (x * 2.0 + 0.5).astype(dtype)
+        gain = (rng.normal(size=d) * 0.5 + 1.0).astype(dtype)
+        bias = (rng.normal(size=d) * 0.1).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        out, grads = _run(layernorm, [x, gain, bias], g)
+        want = layernorm_reference(x, gain, bias, g)
+        assert _same_bytes(out.data, want[0]), "forward"
+        for i, (got, ref) in enumerate(zip(grads, want[1:])):
+            assert _same_bytes(got, ref), f"gradient of input {i}"
+
+    @pytest.mark.parametrize("op", ["affine", "attention", "layernorm"])
+    def test_one_node_parents_untouched_backward_repeatable(self, dtype, op):
+        rng = np.random.default_rng(17)
+        if op == "affine":
+            arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=(6, 3)), rng.normal(size=3)]
+            fn = T.affine
+        elif op == "attention":
+            arrays = [rng.normal(size=(2, 4, 6)) for _ in range(3)]
+            mask = np.triu(np.full((4, 4), -1e9), k=1).astype(dtype)
+            fn = lambda *t: T.attention(*t, 2, mask)  # noqa: E731
+        else:
+            arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=6), rng.normal(size=6)]
+            fn = layernorm
+        arrays = [a.astype(dtype) for a in arrays]
+        before = [a.copy() for a in arrays]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*leaves)
+        assert out._parents == tuple(leaves)
+        loss = tsum(mul(out, out))
+        loss.backward()
+        first = [t.grad.copy() for t in leaves]
+        loss.backward()  # a second pass sees the same saved arrays
+        for a, b, t, g in zip(arrays, before, leaves, first):
+            assert a.tobytes() == b.tobytes()
+            assert t.grad.tobytes() == (g + g).tobytes()
+
+    def test_attention_shape_checks(self, dtype):
+        q = Tensor(np.zeros((2, 3, 8), dtype=dtype))
+        with pytest.raises(ShapeError, match="multiple"):
+            T.attention(q, q, q, 3)
+        with pytest.raises(ShapeError, match="mask"):
+            T.attention(q, q, q, 2, np.zeros((4, 4), dtype=dtype))
+        with pytest.raises(ShapeError, match="shape"):
+            T.attention(q, q, Tensor(np.zeros((2, 4, 8), dtype=dtype)), 2)
+
+    def test_affine_shape_checks(self, dtype):
+        x = Tensor(np.zeros((2, 3, 4), dtype=dtype))
+        w = Tensor(np.zeros((4, 5), dtype=dtype))
+        with pytest.raises(ShapeError, match="weight"):
+            T.affine(x, Tensor(np.zeros((3, 5), dtype=dtype)), Tensor(np.zeros(5, dtype=dtype)))
+        with pytest.raises(ShapeError, match="bias"):
+            T.affine(x, w, Tensor(np.zeros(4, dtype=dtype)))
+
+
+# ---------------------------------------------------------------------------
 # gradient checks vs finite differences, both dtypes, many seeds
 # ---------------------------------------------------------------------------
 
@@ -423,6 +577,43 @@ class TestGradChecks:
             g = rng.normal(size=(8,)) * 0.5 + 1.0
             b = rng.normal(size=(8,)) * 0.1
             check_grads(lambda ts: tsum(layernorm(ts[0], ts[1], ts[2])), [x, g, b], dtype)
+
+    def test_layernorm_3d(self, dtype):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(2, 3, 8)) * 1.5
+            g = rng.normal(size=(8,)) * 0.5 + 1.0
+            b = rng.normal(size=(8,)) * 0.1
+            u = rng.normal(size=(2, 3, 8))
+            check_grads(lambda ts: tsum(mul(layernorm(ts[0], ts[1], ts[2]),
+                                            Tensor(u.astype(ts[0].data.dtype)))),
+                        [x, g, b], dtype)
+
+    def test_affine(self, dtype):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(2, 3, 4)) * 0.5
+            w = rng.normal(size=(4, 5)) * 0.5
+            b = rng.normal(size=(5,)) * 0.1
+            u = rng.normal(size=(2, 3, 5))
+            check_grads(lambda ts: tsum(mul(T.affine(ts[0], ts[1], ts[2]),
+                                            Tensor(u.astype(ts[0].data.dtype)))),
+                        [x, w, b], dtype)
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    def test_attention(self, dtype, masked):
+        mask = np.triu(np.full((4, 4), -1e9), k=1) if masked else None
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            q, k, v = (rng.normal(size=(2, 4, 6)) for _ in range(3))
+            u = rng.normal(size=(2, 4, 6))
+
+            def loss(ts):
+                m = None if mask is None else mask.astype(ts[0].data.dtype)
+                return tsum(mul(T.attention(ts[0], ts[1], ts[2], 2, m),
+                                Tensor(u.astype(ts[0].data.dtype))))
+
+            check_grads(loss, [q, k, v], dtype)
 
     def test_cross_entropy(self, dtype):
         for seed in SEEDS:
