@@ -15,9 +15,9 @@ import time
 from dataclasses import dataclass
 
 from .model import VARIANTS, Model
-from .optim import AdamW, CosineSchedule, clip_grad_norm, no_decay_names
+from .optim import AdamW, CosineSchedule
 from .tasks import build_task
-from .train import batch_loss
+from .train import train_step
 
 
 @dataclass
@@ -38,26 +38,20 @@ def run_bench(run, variants=VARIANTS) -> list[BenchRow]:
     for variant in variants:
         spec = dataclasses.replace(run.model, variant=variant)
         model = Model(spec, dtype=cfg.dtype)
-        named = model.named_parameters()
-        opt = AdamW(named, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, no_decay_names(named))
-        lanes.append((variant, model, named, opt, []))
+        opt = AdamW(model.named_parameters(), cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+        lanes.append((variant, model, opt, []))
 
     for step in range(1, total + 1):
         xb, yb = task.batch(step, cfg.batch_size)
-        for variant, model, named, opt, times in lanes:
+        for variant, model, opt, times in lanes:
             t0 = time.perf_counter()
-            model.zero_grad()
-            loss = batch_loss(model, xb, yb, training=True)
-            loss.backward()
-            if cfg.grad_clip > 0:
-                clip_grad_norm(named, cfg.grad_clip)
-            opt.step(sched.lr_at(step))
+            train_step(model, opt, xb, yb, sched.lr_at(step), cfg.grad_clip, step)
             elapsed = (time.perf_counter() - t0) * 1000.0
             if step > warmup:
                 times.append(elapsed)
 
     rows = [BenchRow(variant, statistics.median(times), None)
-            for variant, _, _, _, times in lanes]
+            for variant, _, _, times in lanes]
     dense = next((r for r in rows if r.variant == "dense"), None)
     if dense is not None:
         for r in rows:

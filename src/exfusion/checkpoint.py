@@ -157,8 +157,7 @@ def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
     from .model import Model  # local import to keep this module light
 
     assert isinstance(model, Model)
-    tensors = {name: t.data for name, t in model.named_parameters()}
-    tensors.update({name: buf for name, buf in model.named_buffers()})
+    tensors = model.state_arrays()
     if optimizer is not None:
         tensors.update(optimizer.state_arrays())
     meta = {
@@ -218,9 +217,9 @@ def load_model_checkpoint(path) -> LoadedModel:
         model = Model.from_arrays(spec, state, dtype)
     except (KeyError, ValueError, NonFiniteError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
-    named = model.named_parameters()
-    known = {name for name, _ in named} | {name for name, _ in model.named_buffers()}
-    known.update(f"opt/{moment}/{name}" for name, t in named if t.requires_grad for moment in "mv")
+    known = set(model.state_arrays())
+    known.update(f"opt/{moment}/{name}" for name, t in model.named_parameters()
+                 if t.requires_grad for moment in "mv")
     known.add("opt/step")
     unknown = next((name for name in tensors if name not in known), None)
     if unknown is not None:

@@ -82,15 +82,17 @@ def router_fusion_weights(x: Tensor, router: Router) -> Tensor:
     return tmean(flat, axis=0)
 
 
-def ema_update(bank: np.ndarray, w: np.ndarray, delta: float) -> np.ndarray:
-    """One momentum step ``delta * bank + (1 - delta) * w`` (pure, stateless)."""
+def ema_update(bank: np.ndarray, w: Tensor, delta: float) -> Tensor:
+    """One momentum step ``delta * bank + (1 - delta) * w`` (pure, stateless).
+
+    The stored ``bank`` enters as a constant; the gradient flows through
+    the fresh ``(1 - delta) * w`` term only.
+    """
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"momentum delta must be in [0, 1); got {delta}")
-    bank = np.asarray(bank)
-    w = np.asarray(w)
-    if bank.shape != w.shape:
-        raise ShapeError(f"ema_update: bank shape {bank.shape} vs weights shape {w.shape}")
-    return delta * bank + (1.0 - delta) * w
+    if np.shape(bank) != w.shape:
+        raise ShapeError(f"ema_update: bank shape {np.shape(bank)} vs weights shape {w.shape}")
+    return add(Tensor(delta * bank), scale(w, 1.0 - delta))
 
 
 class StaticFusion:
@@ -104,9 +106,6 @@ class StaticFusion:
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         return self._weights
-
-    def export_weights(self) -> np.ndarray:
-        return self._weights.data.copy()
 
     def named_parameters(self):
         return []
@@ -125,9 +124,6 @@ class LearnedFusion:
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         return self.weights
-
-    def export_weights(self) -> np.ndarray:
-        return self.weights.data.copy()
 
     def named_parameters(self):
         return [(self.name + ".weights", self.weights)]
@@ -157,13 +153,9 @@ class MemoryFusion:
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         if not training:
             return Tensor(self.bank.copy())
-        w = router_fusion_weights(x, self.router)
-        m = add(Tensor(self.delta * self.bank), scale(w, 1.0 - self.delta))
+        m = ema_update(self.bank, router_fusion_weights(x, self.router), self.delta)
         self.bank[...] = m.data
         return m
-
-    def export_weights(self) -> np.ndarray:
-        return self.bank.copy()
 
     def named_parameters(self):
         return self.router.named_parameters()

@@ -27,6 +27,7 @@ from .tensor import (
     attention,
     embedding,
     gather_rows,
+    no_grad,
     tmean,
 )
 
@@ -194,18 +195,15 @@ class FFNSlot:
         else:
             raise ValueError(f"unknown FFN slot kind {kind!r}")
 
+    def fusion_weights(self, x: Tensor | None, training: bool) -> tuple[Tensor, Tensor]:
+        """(up, down) fusion weights for this step; the eval weights ignore ``x``."""
+        ws = [c.step_weights(x, training) for c in self.controllers]
+        return ws[0], ws[-1]
+
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if self.kind == "moe":
             return topk_moe_forward(x, self.up, self.down, self.router, self.top_k)
-        ws = [c.step_weights(x, training) for c in self.controllers]
-        return F.fused_ffn_forward(x, self.up, self.down, ws[0], ws[-1])
-
-    def export_fusion_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Final (up, down) fusion weight vectors for the dense collapse."""
-        if self.kind == "moe":
-            raise ValueError("a top-k mixture slot has no fusion weights to export")
-        ws = [c.export_weights() for c in self.controllers]
-        return ws[0], ws[-1]
+        return F.fused_ffn_forward(x, self.up, self.down, *self.fusion_weights(x, training))
 
     def named_parameters(self):
         out = self.up.named_parameters() + self.down.named_parameters()
@@ -372,22 +370,23 @@ def expected_param_count(spec: ModelSpec) -> int:
 def collapse_to_dense(model: Model) -> Model:
     """Export a plain dense model whose eval outputs match the source.
 
-    Every multi-expert slot is replaced by the single affine pair obtained
-    from its final fusion weights; routers and banks are dropped. The fused
-    arrays are computed by the same reduction the source model uses at eval
-    time, so eval logits agree bitwise. The dense model owns its arrays: the
-    ones it keeps are copied, so it never aliases the source.
+    Every multi-expert slot is replaced by the single affine pair that its
+    eval-mode fusion weights give through ``fusion.fuse``, the call the
+    source model makes in its own eval forward, so eval logits agree
+    bitwise; routers and banks are dropped. The dense model owns its
+    arrays: the ones it keeps are copied, so it never aliases the source.
     """
     if model.spec.variant == "moe":
         raise ValueError("top-k mixture models cannot be collapsed; experts are not fused")
     dense_spec = dataclasses.replace(model.spec, variant="dense", replaced_layers=())
     fused = {}
-    for block in model.blocks:
-        slot = block.ffn
-        w_up, w_down = slot.export_fusion_weights()
-        for experts, w in ((slot.up, w_up), (slot.down, w_down)):
-            for name, t in experts.named_parameters():
-                fused[name] = np.tensordot(w, t.data, axes=(0, 0))[None]
+    with no_grad():
+        for block in model.blocks:
+            slot = block.ffn
+            for experts, w in zip((slot.up, slot.down), slot.fusion_weights(None, training=False)):
+                # FusedAffine is (weight, bias), the order of named_parameters
+                for (name, _), t in zip(experts.named_parameters(), F.fuse(experts, w)):
+                    fused[name] = t.data[None]
     arrays = {name: arr.copy() for name, arr in model.state_arrays().items() if name not in fused}
     arrays.update(fused)
     return Model.from_arrays(dense_spec, arrays, model.dtype)

@@ -17,12 +17,13 @@ class AdamW:
     Only tensors with ``requires_grad`` participate; parameters whose grad
     is ``None`` at step time are skipped entirely (no decay either).
     Memory banks never appear here: they are buffers, not parameters.
-    Names listed in ``no_decay`` update without the decay term.
+    Names listed in ``no_decay`` update without the decay term; by default
+    those are ``no_decay_names(named_params)``, the learnable fusion weights.
     """
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0,
-                 no_decay: frozenset[str] | set[str] = frozenset()):
+                 no_decay: frozenset[str] | set[str] | None = None):
         self.params: list[tuple[str, Tensor]] = [
             (name, t) for name, t in named_params if t.requires_grad
         ]
@@ -30,7 +31,7 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.no_decay = frozenset(no_decay)
+        self.no_decay = frozenset(no_decay_names(self.params) if no_decay is None else no_decay)
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in self.params}
         self.v = {name: np.zeros_like(t.data) for name, t in self.params}
@@ -68,10 +69,6 @@ class AdamW:
                 update = update + self.weight_decay * p.data
             p.data = p.data - lr * update
         return True
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
 
     # -- checkpoint support ----------------------------------------------------
 

@@ -3,7 +3,8 @@
 Tensors wrap numpy arrays (float32 by default, float64 selectable for
 verification work). Every primitive records a vector-Jacobian closure; a
 backward pass linearizes the graph in topological order and visits each
-recorded op exactly once, accumulating gradients into ``.grad`` buffers.
+recorded op exactly once, accumulating gradients into the ``.grad`` buffers
+of the leaves (tensors no op produced); op outputs never keep one.
 
 ``affine`` (``x @ W + b``) and ``attention`` (multi-head scaled dot-product
 attention from projected q/k/v to the merged context) are single tape
@@ -102,7 +103,7 @@ class Tensor:
 
     Leaf tensors are validated to be finite on creation. Op outputs carry
     references to their inputs plus a vjp closure; ``backward()`` on a
-    scalar populates ``.grad`` on every reachable tensor that requires
+    scalar populates ``.grad`` on every reachable leaf that requires
     gradients. Data is treated as immutable once on the tape; only ``grad``
     buffers mutate.
     """
@@ -156,15 +157,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.grad = None
-        t.requires_grad = False
-        t._parents = ()
-        t._vjp = None
-        return t
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -174,9 +166,11 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate dL/dt into ``.grad`` for every tensor reachable from this scalar.
+        """Accumulate dL/dt into ``.grad`` for every leaf reachable from this scalar.
 
-        Repeated calls without clearing grads keep accumulating.
+        Op outputs pass their gradient on to their inputs and keep none, so
+        no intermediate gradient outlives the pass. Repeated calls without
+        clearing grads keep accumulating.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss; got shape {self.shape}")
@@ -188,8 +182,8 @@ class Tensor:
             g = flow.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
             if node._vjp is None:
+                node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
@@ -204,36 +198,8 @@ class Tensor:
             return add(self, other)
         return add(self, Tensor(np.asarray(other, dtype=self.data.dtype)))
 
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return sub(self, Tensor(np.asarray(other, dtype=self.data.dtype)))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes) -> "Tensor":
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _linearize(root: Tensor) -> list[Tensor]:

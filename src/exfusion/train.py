@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_model_checkpoint, meta_json, save_model_checkpoint
 from .model import Model, ModelSpec
-from .optim import AdamW, CosineSchedule, clip_grad_norm, no_decay_names
+from .optim import AdamW, CosineSchedule, clip_grad_norm
 from .tasks import TaskSpec, build_task
 from .tensor import NonFiniteError, Tensor, cross_entropy, no_grad, reshape
 
@@ -88,6 +88,25 @@ def batch_loss(model: Model, tokens: np.ndarray, targets: np.ndarray, training: 
         return cross_entropy(logits, targets)
     b, l, v = logits.shape
     return cross_entropy(reshape(logits, (b * l, v)), targets.reshape(-1))
+
+
+def train_step(model: Model, opt: AdamW, tokens: np.ndarray, targets: np.ndarray, lr: float,
+               grad_clip: float, step: int) -> tuple[float, bool]:
+    """One optimizer step: zero_grad, loss, finite check, backward, clip, AdamW.
+
+    ``grad_clip`` 0 skips the clip. Returns the loss as a float and whether
+    AdamW applied the update (it skips one with a non-finite gradient). The
+    graph is local to the call, so it is gone before the next forward.
+    """
+    model.zero_grad()
+    loss = batch_loss(model, tokens, targets, training=True)
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise TrainingDivergence(f"non-finite training loss {value} at step {step}; aborting")
+    loss.backward()
+    if grad_clip > 0:
+        clip_grad_norm(opt.params, grad_clip)
+    return value, opt.step(lr)
 
 
 def evaluate(model: Model, task) -> EvalResult:
@@ -193,8 +212,7 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
         model = Model(model_spec, dtype=cfg.dtype)
         start_step = 0
 
-    named = model.named_parameters()
-    opt = AdamW(named, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay, no_decay_names(named))
+    opt = AdamW(model.named_parameters(), cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
     if loaded is not None:
         try:
             opt.load_state_arrays(loaded.opt_arrays)
@@ -228,17 +246,9 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
         for step in range(start_step + 1, end_step + 1):
             t0 = time.perf_counter()
             xb, yb = task.batch(step, cfg.batch_size)
-            model.zero_grad()
-            loss = batch_loss(model, xb, yb, training=True)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingDivergence(
-                    f"non-finite training loss {loss_val} at step {step}; aborting"
-                )
-            loss.backward()
-            if cfg.grad_clip > 0:
-                clip_grad_norm(named, cfg.grad_clip)
-            if not opt.step(sched.lr_at(step)):
+            loss_val, applied = train_step(model, opt, xb, yb, sched.lr_at(step), cfg.grad_clip,
+                                           step)
+            if not applied:
                 say(f"step {step}: non-finite gradient detected; update skipped")
             window.append((time.perf_counter() - t0) * 1000.0)
 

@@ -34,7 +34,7 @@ from .tensor import (
     softmax,
     tsum,
 )
-from .train import batch_loss
+from .train import batch_loss, train_step
 
 FUSION_TOL = {"f32": 1e-5, "f64": 1e-10}
 GRAD_TOL = {"f32": 1e-4, "f64": 1e-8}
@@ -233,7 +233,7 @@ def suite_ema(seed: int = 0, steps: int = 10_000, n: int = 4) -> list[CheckResul
 
     bank = np.zeros(n)
     for w in history:
-        bank = F.ema_update(bank, w, delta)
+        bank = F.ema_update(bank, Tensor(w), delta).data
     coeff = (1.0 - delta) * delta ** np.arange(steps - 1, -1, -1, dtype=np.float64)
     closed = coeff @ history
     dev = float(np.abs(bank - closed).max())
@@ -243,7 +243,7 @@ def suite_ema(seed: int = 0, steps: int = 10_000, n: int = 4) -> list[CheckResul
     worst = 0.0
     bank = np.zeros(n)
     for t, w in enumerate(history[:2000], start=1):
-        bank = F.ema_update(bank, w, delta)
+        bank = F.ema_update(bank, Tensor(w), delta).data
         worst = max(worst, abs(bank.sum() - (1.0 - delta ** t)))
     results.append(CheckResult("ema/total_mass_telescopes", worst < 1e-8,
                                f"max_abs_dev={worst:.3e} tol=1e-8"))
@@ -275,12 +275,10 @@ def _briefly_train(model: Model, steps: int, seed: int) -> None:
     spec = model.spec
     rng = np.random.default_rng(seed)
     opt = AdamW(model.named_parameters(), weight_decay=0.01)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         tokens = rng.integers(0, spec.vocab_size, size=(4, spec.max_seq_len))
         labels = rng.integers(0, spec.num_classes, size=4)
-        model.zero_grad()
-        batch_loss(model, tokens, labels, training=True).backward()
-        opt.step(1e-3)
+        train_step(model, opt, tokens, labels, 1e-3, 0.0, step)
 
 
 def _collapse_via_checkpoint(model: Model) -> Model:

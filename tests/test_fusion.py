@@ -208,7 +208,7 @@ class TestRouterFusionWeights:
 
 class TestEmaUpdate:
     def test_first_step_from_zero(self):
-        m = ema_update(np.zeros(4), np.full(4, 0.25), 0.95)
+        m = ema_update(np.zeros(4), Tensor(np.full(4, 0.25)), 0.95).data
         np.testing.assert_allclose(m, 0.0125, atol=1e-12)
 
     def test_constant_input_geometric_series(self):
@@ -216,7 +216,7 @@ class TestEmaUpdate:
         m = np.zeros(4)
         delta = 0.9
         for t in range(1, 50):
-            m = ema_update(m, w, delta)
+            m = ema_update(m, Tensor(w), delta).data
             np.testing.assert_allclose(m, w * (1 - delta ** t), atol=1e-12)
 
     def test_random_sequence_matches_closed_form(self):
@@ -225,13 +225,13 @@ class TestEmaUpdate:
         history = softmax_rows(rng.normal(size=(10_000, 4)))
         m = np.zeros(4)
         for w in history:
-            m = ema_update(m, w, delta)
+            m = ema_update(m, Tensor(w), delta).data
         np.testing.assert_allclose(m, ema_closed_form(history, delta), atol=1e-10)
 
     def test_delta_out_of_range(self):
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                ema_update(np.zeros(2), np.zeros(2), bad)
+                ema_update(np.zeros(2), Tensor(np.zeros(2)), bad)
 
 
 class TestMemoryFusion:

@@ -89,6 +89,21 @@ class TestAdamW:
         names = [n for n, _ in Model(spec).named_parameters()]
         assert any(n.endswith(".fusion.weights") for n in names)
 
+    def test_default_no_decay_exempts_exactly_the_fusion_weights(self):
+        from exfusion.model import Model, ModelSpec
+
+        spec = ModelSpec(depth=2, dim=8, heads=2, expansion=2, vocab_size=5,
+                         num_classes=2, max_seq_len=4, variant="dw", num_experts=2)
+        named = Model(spec).named_parameters()
+        for _, t in named:  # zero gradients: only the decay term can move a parameter
+            t.data = np.ones_like(t.data)
+            t.grad = np.zeros_like(t.data)
+        opt = AdamW(named, weight_decay=0.05)
+        assert opt.step(0.1)
+        kept = {name for name, t in named if np.all(t.data == 1.0)}
+        assert kept == opt.no_decay == {"blocks.0.ffn.fusion.weights",
+                                        "blocks.1.ffn.fusion.weights"}
+
     def test_state_roundtrip(self):
         p = param([1.0, 2.0], grad=[0.3, -0.2])
         opt = AdamW([("p", p)])

@@ -1,0 +1,48 @@
+"""Every exfusion name the benchmark's tracer patches must exist.
+
+``perfbench/tracer.py`` looks its op primitives up on ``exfusion.tensor`` and
+its layer spans on the module or class that owns them. Deleting one of them
+from exfusion would otherwise fail only ``perfbench/tests``, which this suite
+does not collect.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from exfusion import tensor
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_op_group_name_is_a_tensor_primitive(tracer):
+    names = [name for group in tracer.OP_GROUPS.values() for name in group]
+    assert names
+    assert [name for name in names if not callable(getattr(tensor, name, None))] == []
+
+
+def test_every_layer_span_target_is_defined_on_its_owner(tracer):
+    assert tracer.LAYER_SPANS
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracer.LAYER_SPANS
+               if not callable(vars(owner).get(attr))]
+    assert missing == []
+
+
+def test_install_patches_and_restores_every_hook(tracer):
+    before = tracer.snapshot()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        assert t._patches
+    finally:
+        t.uninstall()
+    assert tracer.changed_attributes(before) == []

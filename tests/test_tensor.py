@@ -232,6 +232,22 @@ class TestBackward:
         tsum(w).backward()
         np.testing.assert_array_equal(w.grad, np.ones(4, dtype=np.float32))
 
+    def test_gradients_land_only_on_leaves(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        h = matmul(x, w)
+        y = gelu(h)
+        sq = mul(y, y)
+        loss = tsum(sq)
+        loss.backward()
+        assert all(t.grad is None for t in (h, y, sq, loss))
+        first = x.grad.copy(), w.grad.copy()
+        loss.backward()  # the graph is intact: a second pass adds the same leaf gradients
+        assert all(t.grad is None for t in (h, y, sq, loss))
+        for leaf, g in zip((x, w), first):
+            assert leaf.grad.tobytes() == (g + g).tobytes()
+
     def test_reused_node_fans_in(self):
         w = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
         y = mul(w, w)  # w used twice

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,26 @@ class TestTrainLoop:
         write_checkpoint(ckpt, tensors, meta)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergence, match="step 1"):
             train_loop(spec, task_spec, cfg, tmp_path, resume_from=ckpt)
+
+    def test_step_graph_is_dropped_before_the_next_forward(self, tmp_path, monkeypatch):
+        from exfusion import train
+
+        spec, task_spec, cfg = tiny_run(variant="mb", steps=4, warmup_steps=1, log_interval=2)
+        real = train.batch_loss
+        losses = []  # weak references to each training step's loss array
+        alive_at_next_forward = []
+
+        def recording(model, tokens, targets, training):
+            if training and losses:
+                alive_at_next_forward.append(losses[-1]() is not None)
+            loss = real(model, tokens, targets, training)
+            if training:
+                losses.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(train, "batch_loss", recording)
+        train_loop(spec, task_spec, cfg, tmp_path)
+        assert alive_at_next_forward == [False] * 3
 
     def test_spec_task_mismatch_rejected(self, tmp_path):
         spec, task_spec, cfg = tiny_run()
