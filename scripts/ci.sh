@@ -6,7 +6,6 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 python3 -m pytest -q
-python3 -m pytest -q perfbench/tests
 python3 -m exfusion._entry verify all --deterministic
 
 if [ "${1:-}" = "--bench" ]; then

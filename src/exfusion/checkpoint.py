@@ -99,7 +99,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
     """Load (tensors, meta). Meta values come back as raw arrays; use the
     ``meta_*`` helpers to decode them. Each declared length is checked
     against the bytes left in the file before it is read, and each payload
-    is read straight into its own array."""
+    is read straight into its own array. A name may appear only once."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -129,6 +129,12 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             except UnicodeDecodeError:
                 raise CheckpointError(
                     f"{path}: record name at byte {fh.tell() - name_len} is not UTF-8") from None
+            if name.startswith("meta/"):
+                into, key = meta, name[len("meta/"):]
+            else:
+                into, key = tensors, name
+            if key in into:
+                raise CheckpointError(f"{path}: duplicate record {name!r}")
             code, rank = struct.unpack("<BB", read_exact(2))
             if code not in _DTYPES:
                 raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
@@ -139,11 +145,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             arr = np.empty(dims, dtype=dtype.newbyteorder("<"))
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise CheckpointError(f"{path}: short read of {name!r}")
-            arr = arr.astype(dtype, copy=False)
-            if name.startswith("meta/"):
-                meta[name[len("meta/"):]] = arr
-            else:
-                tensors[name] = arr
+            into[key] = arr.astype(dtype, copy=False)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after declared records")
     return tensors, meta
@@ -211,6 +213,8 @@ def load_model_checkpoint(path) -> LoadedModel:
                        lambda m, k: ModelSpec.from_dict(meta_json(m, k)))
     dtype = _meta_field(path, meta, "dtype", _dtype_name)
     step = _meta_field(path, meta, "step", meta_int)
+    if step < 0:
+        raise CheckpointError(f"{path}: record 'meta/step' must be non-negative; got {step}")
     opt_arrays = {k: v for k, v in tensors.items() if k.startswith("opt/")}
     state = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
     try:

@@ -107,48 +107,33 @@ class StaticFusion:
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         return self._weights
 
-    def named_parameters(self):
-        return []
-
-    def named_buffers(self):
-        return []
-
 
 class LearnedFusion:
     """One trainable weight vector shared by the up and down sets of a layer."""
 
-    def __init__(self, name: str, n: int, dtype, frozen: bool = False, arrays=None):
-        self.name = name
-        self.weights = ArraySource(dtype, arrays=arrays).full(
-            name + ".weights", (n,), 1.0 / n, requires_grad=not frozen)
+    def __init__(self, name: str, n: int, src: ArraySource, frozen: bool = False):
+        self.weights = src.full(name + ".weights", (n,), 1.0 / n, requires_grad=not frozen)
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         return self.weights
-
-    def named_parameters(self):
-        return [(self.name + ".weights", self.weights)]
-
-    def named_buffers(self):
-        return []
 
 
 class MemoryFusion:
     """Router-scored fusion weights smoothed by a momentum bank.
 
     The bank starts at zeros and is updated in place, only during training
-    forwards, so the array handed out by ``named_buffers`` stays current.
+    forwards, so the array the model lists among its buffers stays current.
     The stored history is a constant for gradient purposes; the fresh
     ``(1 - delta) * w`` term keeps the router trainable. The eval path puts
     a copy of the bank on the tape, since tape data must not change.
     """
 
-    def __init__(self, name: str, router: Router, delta: float, dtype, arrays=None):
+    def __init__(self, name: str, router: Router, delta: float, src: ArraySource):
         if not 0.0 <= delta < 1.0:
             raise ValueError(f"momentum delta must be in [0, 1); got {delta}")
-        self.name = name
         self.router = router
         self.delta = delta
-        self.bank = ArraySource(dtype, arrays=arrays).buffer(name + ".bank", (router.n_experts,))
+        self.bank = src.buffer(name + ".bank", (router.n_experts,))
 
     def step_weights(self, x: Tensor, training: bool) -> Tensor:
         if not training:
@@ -156,12 +141,6 @@ class MemoryFusion:
         m = ema_update(self.bank, router_fusion_weights(x, self.router), self.delta)
         self.bank[...] = m.data
         return m
-
-    def named_parameters(self):
-        return self.router.named_parameters()
-
-    def named_buffers(self):
-        return [(self.name + ".bank", self.bank)]
 
 
 @dataclass

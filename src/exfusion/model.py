@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fusion as F
 from .moe import Router, topk_moe_forward
-from .params import Affine, Embedding, ExpertAffine, LayerNorm, checked_array
+from .params import Affine, ArraySource, Embedding, ExpertAffine, LayerNorm, checked_array
 from .tensor import (
     ShapeError,
     Tensor,
@@ -135,12 +135,12 @@ class ModelSpec:
 class AttentionLayer:
     """Multi-head scaled dot-product self-attention with output projection."""
 
-    def __init__(self, name: str, dim: int, heads: int, dtype, seed: int, arrays=None):
+    def __init__(self, name: str, dim: int, heads: int, src: ArraySource):
         self.heads = heads
-        self.q = Affine(name + ".q", dim, dim, dtype, seed, arrays)
-        self.k = Affine(name + ".k", dim, dim, dtype, seed, arrays)
-        self.v = Affine(name + ".v", dim, dim, dtype, seed, arrays)
-        self.o = Affine(name + ".o", dim, dim, dtype, seed, arrays)
+        self.q = Affine(name + ".q", dim, dim, src)
+        self.k = Affine(name + ".k", dim, dim, src)
+        self.v = Affine(name + ".v", dim, dim, src)
+        self.o = Affine(name + ".o", dim, dim, src)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None, return_weights: bool = False):
         q, k, v = self.q(x), self.k(x), self.v(x)
@@ -148,12 +148,6 @@ class AttentionLayer:
             ctx, probs = attention(q, k, v, self.heads, mask, return_weights=True)
             return self.o(ctx), Tensor(probs)
         return self.o(attention(q, k, v, self.heads, mask))
-
-    def named_parameters(self):
-        out = []
-        for lin in (self.q, self.k, self.v, self.o):
-            out.extend(lin.named_parameters())
-        return out
 
 
 class FFNSlot:
@@ -164,34 +158,31 @@ class FFNSlot:
     one-expert static fusion.
     """
 
-    def __init__(self, name: str, kind: str, spec: ModelSpec, dtype, seed: int, arrays=None):
+    def __init__(self, name: str, kind: str, spec: ModelSpec, src: ArraySource):
         self.kind = kind
         n = spec.num_experts if kind != "dense" else 1
         replicate = spec.expert_init == "replicate"
-        self.up = ExpertAffine(name + ".up", n, spec.dim, spec.hidden, dtype, seed, replicate,
-                               arrays)
-        self.down = ExpertAffine(name + ".down", n, spec.hidden, spec.dim, dtype, seed, replicate,
-                                 arrays)
+        self.up = ExpertAffine(name + ".up", n, spec.dim, spec.hidden, src, replicate)
+        self.down = ExpertAffine(name + ".down", n, spec.hidden, spec.dim, src, replicate)
         self.top_k = spec.top_k
         self.router: Router | None = None
         self.controllers: list = []
         if kind in ("dense", "sw"):
-            self.controllers = [F.StaticFusion(n, dtype)]
+            self.controllers = [F.StaticFusion(n, src.dtype)]
         elif kind == "dw":
             self.controllers = [
-                F.LearnedFusion(name + ".fusion", n, dtype, frozen=spec.freeze_fusion_weights,
-                                arrays=arrays)
+                F.LearnedFusion(name + ".fusion", n, src, frozen=spec.freeze_fusion_weights)
             ]
         elif kind == "mb":
             tags = ("",) if spec.shared_router else (".up", ".down")
             self.controllers = [
                 F.MemoryFusion(f"{name}.fusion{tag}",
-                               Router(f"{name}.router{tag}", spec.dim, n, dtype, seed, arrays),
-                               spec.momentum, dtype, arrays)
+                               Router(f"{name}.router{tag}", spec.dim, n, src),
+                               spec.momentum, src)
                 for tag in tags
             ]
         elif kind == "moe":
-            self.router = Router(name + ".router", spec.dim, n, dtype, seed, arrays)
+            self.router = Router(name + ".router", spec.dim, n, src)
         else:
             raise ValueError(f"unknown FFN slot kind {kind!r}")
 
@@ -205,43 +196,26 @@ class FFNSlot:
             return topk_moe_forward(x, self.up, self.down, self.router, self.top_k)
         return F.fused_ffn_forward(x, self.up, self.down, *self.fusion_weights(x, training))
 
-    def named_parameters(self):
-        out = self.up.named_parameters() + self.down.named_parameters()
-        if self.router is not None:
-            out.extend(self.router.named_parameters())
-        for c in self.controllers:
-            out.extend(c.named_parameters())
-        return out
-
-    def named_buffers(self):
-        out = []
-        for c in self.controllers:
-            out.extend(c.named_buffers())
-        return out
-
 
 class TransformerBlock:
-    def __init__(self, name: str, ffn_kind: str, spec: ModelSpec, dtype, seed: int,
-                 arrays=None):
-        self.ln1 = LayerNorm(name + ".ln1", spec.dim, dtype, arrays=arrays)
-        self.attn = AttentionLayer(name + ".attn", spec.dim, spec.heads, dtype, seed, arrays)
-        self.ln2 = LayerNorm(name + ".ln2", spec.dim, dtype, arrays=arrays)
-        self.ffn = FFNSlot(name + ".ffn", ffn_kind, spec, dtype, seed, arrays)
+    def __init__(self, name: str, ffn_kind: str, spec: ModelSpec, src: ArraySource):
+        self.ln1 = LayerNorm(name + ".ln1", spec.dim, src)
+        self.attn = AttentionLayer(name + ".attn", spec.dim, spec.heads, src)
+        self.ln2 = LayerNorm(name + ".ln2", spec.dim, src)
+        self.ffn = FFNSlot(name + ".ffn", ffn_kind, spec, src)
 
     def forward(self, x: Tensor, mask: np.ndarray | None, training: bool) -> Tensor:
         x = add(x, self.attn(self.ln1(x), mask))
         return add(x, self.ffn.forward(self.ln2(x), training))
-
-    def named_parameters(self):
-        return (self.ln1.named_parameters() + self.attn.named_parameters()
-                + self.ln2.named_parameters() + self.ffn.named_parameters())
 
 
 class Model:
     """Token embedding + positional table + blocks + final norm + head.
 
     ``Model(spec, dtype)`` draws fresh parameters; ``Model.from_arrays``
-    adopts named arrays instead (see ``params.ArraySource``).
+    adopts named arrays instead. Either way one ``params.ArraySource`` builds
+    every container, and its record of what it created, in creation order,
+    is the model's list of parameters and buffers.
     """
 
     def __init__(self, spec: ModelSpec, dtype: str = "f32"):
@@ -259,16 +233,18 @@ class Model:
     def _build(self, spec: ModelSpec, dtype: str, arrays) -> None:
         self.spec = spec
         self.dtype = dtype
-        seed = spec.seed
+        src = ArraySource(dtype, spec.seed, arrays)
         replaced = set(spec.replaced_layers)
-        self.embed = Embedding("embed", spec.vocab_size, spec.dim, dtype, seed, arrays)
-        self.pos = Embedding("pos", spec.max_seq_len, spec.dim, dtype, seed, arrays)
+        self.embed = Embedding("embed", spec.vocab_size, spec.dim, src)
+        self.pos = Embedding("pos", spec.max_seq_len, spec.dim, src)
         self.blocks = []
         for i in range(spec.depth):
             kind = spec.variant if i in replaced else "dense"
-            self.blocks.append(TransformerBlock(f"blocks.{i}", kind, spec, dtype, seed, arrays))
-        self.final_ln = LayerNorm("final_ln", spec.dim, dtype, arrays=arrays)
-        self.head = Affine("head", spec.dim, spec.head_out, dtype, seed, arrays)
+            self.blocks.append(TransformerBlock(f"blocks.{i}", kind, spec, src))
+        self.final_ln = LayerNorm("final_ln", spec.dim, src)
+        self.head = Affine("head", spec.dim, spec.head_out, src)
+        self._params = src.params
+        self._buffers = src.buffers
 
     # -- forward ----------------------------------------------------------------
 
@@ -294,18 +270,10 @@ class Model:
     # -- state ------------------------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = self.embed.named_parameters() + self.pos.named_parameters()
-        for block in self.blocks:
-            out.extend(block.named_parameters())
-        out.extend(self.final_ln.named_parameters())
-        out.extend(self.head.named_parameters())
-        return out
+        return list(self._params)
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for block in self.blocks:
-            out.extend(block.ffn.named_buffers())
-        return out
+        return list(self._buffers)
 
     def param_count(self) -> int:
         return sum(t.data.size for _, t in self.named_parameters())
@@ -379,14 +347,15 @@ def collapse_to_dense(model: Model) -> Model:
     if model.spec.variant == "moe":
         raise ValueError("top-k mixture models cannot be collapsed; experts are not fused")
     dense_spec = dataclasses.replace(model.spec, variant="dense", replaced_layers=())
+    names = {id(t): name for name, t in model.named_parameters()}
     fused = {}
     with no_grad():
         for block in model.blocks:
             slot = block.ffn
             for experts, w in zip((slot.up, slot.down), slot.fusion_weights(None, training=False)):
-                # FusedAffine is (weight, bias), the order of named_parameters
-                for (name, _), t in zip(experts.named_parameters(), F.fuse(experts, w)):
-                    fused[name] = t.data[None]
+                f = F.fuse(experts, w)
+                fused[names[id(experts.weight)]] = f.weight.data[None]
+                fused[names[id(experts.bias)]] = f.bias.data[None]
     arrays = {name: arr.copy() for name, arr in model.state_arrays().items() if name not in fused}
     arrays.update(fused)
     return Model.from_arrays(dense_spec, arrays, model.dtype)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import Affine, ExpertAffine
+from .params import Affine, ArraySource, ExpertAffine
 from .tensor import (
     Tensor,
     add,
@@ -29,8 +29,8 @@ from .tensor import (
 class Router(Affine):
     """Linear map dim -> n_experts whose softmax is the expert gate."""
 
-    def __init__(self, name: str, dim: int, n_experts: int, dtype, seed: int, arrays=None):
-        super().__init__(name, dim, n_experts, dtype, seed, arrays)
+    def __init__(self, name: str, dim: int, n_experts: int, src: ArraySource):
+        super().__init__(name, dim, n_experts, src)
         self.n_experts = n_experts
 
 

@@ -6,9 +6,11 @@ regardless of which other parameters exist. This is what makes variant
 degeneracy checks (e.g. single-expert fusion vs a plain dense layer)
 byte-for-byte comparable.
 
-A container takes its arrays from one source. A fresh one draws them; one
-rebuilt from named arrays (a loaded checkpoint, a cast, a dense export)
-adopts them instead, so nothing is drawn only to be overwritten.
+A model builds all its containers from one ``ArraySource``. A fresh one
+draws the arrays; one rebuilt from named arrays (a loaded checkpoint, a
+cast, a dense export) adopts them instead, so nothing is drawn only to be
+overwritten. The source records every parameter and buffer it hands out,
+in creation order, and that record is the model's only list of them.
 """
 
 from __future__ import annotations
@@ -50,19 +52,22 @@ def checked_array(arrays, name: str, shape) -> np.ndarray:
 
 
 class ArraySource:
-    """Where a container's arrays come from.
+    """Where a model's arrays come from, and the record of what it handed out.
 
     With ``arrays=None`` every array is drawn fresh: ``normal_init`` per
     name, or a constant fill. Otherwise ``arrays[name]`` is adopted: it must
     be present with the right shape, and it is cast to the model dtype
     without a copy when it already has it. Parameters are wrapped in
-    ``Tensor``, whose finite check then names the array.
+    ``Tensor``, whose finite check then names the array. Each parameter and
+    buffer is appended to ``params`` or ``buffers`` as ``(name, value)``.
     """
 
     def __init__(self, dtype, seed: int = 0, arrays=None):
         self.dtype = as_np_dtype(dtype)
         self.seed = seed
         self.arrays = arrays
+        self.params: list[tuple[str, Tensor]] = []
+        self.buffers: list[tuple[str, np.ndarray]] = []
 
     def array(self, name: str, shape, draw) -> np.ndarray:
         if self.arrays is None:
@@ -72,9 +77,11 @@ class ArraySource:
     def param(self, name: str, shape, draw, requires_grad: bool = True) -> Tensor:
         arr = self.array(name, shape, draw)
         try:
-            return Tensor(arr, requires_grad=requires_grad)
+            t = Tensor(arr, requires_grad=requires_grad)
         except NonFiniteError:
             raise NonFiniteError(f"array {name!r} has non-finite values") from None
+        self.params.append((name, t))
+        return t
 
     def normal(self, name: str, shape) -> Tensor:
         return self.param(name, shape, lambda: normal_init(self.seed, name, shape, self.dtype))
@@ -88,23 +95,19 @@ class ArraySource:
         arr = self.array(name, shape, lambda: np.zeros(shape, dtype=self.dtype))
         if not np.isfinite(arr).all():
             raise NonFiniteError(f"array {name!r} has non-finite values")
+        self.buffers.append((name, arr))
         return arr
 
 
 class Affine:
     """One linear map ``x @ weight + bias`` with weight [d_in, d_out]."""
 
-    def __init__(self, name: str, d_in: int, d_out: int, dtype, seed: int, arrays=None):
-        src = ArraySource(dtype, seed, arrays)
-        self.name = name
+    def __init__(self, name: str, d_in: int, d_out: int, src: ArraySource):
         self.weight = src.normal(name + ".weight", (d_in, d_out))
         self.bias = src.full(name + ".bias", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias)
-
-    def named_parameters(self):
-        return [(self.name + ".weight", self.weight), (self.name + ".bias", self.bias)]
 
 
 class ExpertAffine:
@@ -115,32 +118,25 @@ class ExpertAffine:
     of the same name. ``replicate=True`` copies expert 0 into every slot.
     """
 
-    def __init__(self, name: str, n: int, d_in: int, d_out: int, dtype, seed: int,
-                 replicate: bool = False, arrays=None):
+    def __init__(self, name: str, n: int, d_in: int, d_out: int, src: ArraySource,
+                 replicate: bool = False):
         if n < 1:
             raise ValueError(f"expert set {name!r} needs n >= 1; got {n}")
-        src = ArraySource(dtype, seed, arrays)
-        self.name = name
         self.n = n
 
         def draw() -> np.ndarray:
             if replicate:
-                first = normal_init(seed, f"{name}.0.weight", (d_in, d_out), dtype)
+                first = normal_init(src.seed, f"{name}.0.weight", (d_in, d_out), src.dtype)
                 return np.broadcast_to(first, (n, d_in, d_out)).copy()
-            return np.stack([normal_init(seed, f"{name}.{i}.weight", (d_in, d_out), dtype)
+            return np.stack([normal_init(src.seed, f"{name}.{i}.weight", (d_in, d_out), src.dtype)
                              for i in range(n)])
 
         self.weight = src.param(name + ".weight", (n, d_in, d_out), draw)
         self.bias = src.full(name + ".bias", (n, d_out), 0.0)
 
-    def named_parameters(self):
-        return [(self.name + ".weight", self.weight), (self.name + ".bias", self.bias)]
-
 
 class LayerNorm:
-    def __init__(self, name: str, dim: int, dtype, eps: float = 1e-5, arrays=None):
-        src = ArraySource(dtype, arrays=arrays)
-        self.name = name
+    def __init__(self, name: str, dim: int, src: ArraySource, eps: float = 1e-5):
         self.eps = eps
         self.gain = src.full(name + ".gain", (dim,), 1.0)
         self.bias = src.full(name + ".bias", (dim,), 0.0)
@@ -148,14 +144,7 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layernorm(x, self.gain, self.bias, self.eps)
 
-    def named_parameters(self):
-        return [(self.name + ".gain", self.gain), (self.name + ".bias", self.bias)]
-
 
 class Embedding:
-    def __init__(self, name: str, rows: int, dim: int, dtype, seed: int, arrays=None):
-        self.name = name
-        self.weight = ArraySource(dtype, seed, arrays).normal(name + ".weight", (rows, dim))
-
-    def named_parameters(self):
-        return [(self.name + ".weight", self.weight)]
+    def __init__(self, name: str, rows: int, dim: int, src: ArraySource):
+        self.weight = src.normal(name + ".weight", (rows, dim))

@@ -19,7 +19,7 @@ from . import fusion as F
 from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .model import Model, ModelSpec, causal_mask, collapse_to_dense, expected_param_count
 from .optim import AdamW
-from .params import ExpertAffine
+from .params import ArraySource, ExpertAffine
 from .tensor import (
     Tensor,
     add,
@@ -86,7 +86,7 @@ def suite_fusion(seed: int = 0, trials: int = 200, dtypes=("f32", "f64")) -> lis
             n = int(rng.integers(1, 7))
             d_in = int(rng.integers(2, 12))
             d_out = int(rng.integers(2, 12))
-            experts = ExpertAffine("e", n, d_in, d_out, dtype, seed=trial)
+            experts = ExpertAffine("e", n, d_in, d_out, ArraySource(dtype, trial))
             experts.bias.data = (0.1 * rng.normal(size=(n, d_out))).astype(experts.bias.data.dtype)
             w = rng.normal(size=n)
             x = rng.normal(size=(5, d_in)) / np.sqrt(d_in)
@@ -102,7 +102,7 @@ def suite_fusion(seed: int = 0, trials: int = 200, dtypes=("f32", "f64")) -> lis
             f"fusion/param_vs_output_space dtype={dtype}", worst < tol,
             f"max_abs_diff={worst:.3e} tol={tol:g} trials={trials}"))
 
-        experts = ExpertAffine("e", 4, 6, 6, dtype, seed=seed)
+        experts = ExpertAffine("e", 4, 6, 6, ArraySource(dtype, seed))
         x = Tensor(rng.normal(size=(3, 6)).astype(experts.weight.data.dtype))
         w = rng.normal(size=4).astype(experts.weight.data.dtype)
         base = matmul(x, F.fuse(experts, w).weight).data

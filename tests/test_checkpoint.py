@@ -128,6 +128,21 @@ class TestContainer:
         with pytest.raises(CheckpointError, match="x.bin.*UTF-8"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("record", ["a.weight", "meta/step"])
+    def test_duplicate_record_refused(self, tmp_path, record):
+        path = tmp_path / "x.bin"
+        stand_in = record[:-1] + "~"  # same length, written after ``record``
+        tensors = sample_tensors()
+        meta = {"step": 17}
+        if record.startswith("meta/"):
+            meta[stand_in[len("meta/"):]] = 7
+        else:
+            tensors[stand_in] = np.full_like(tensors[record], 7)
+        write_checkpoint(path, tensors, meta)
+        path.write_bytes(path.read_bytes().replace(stand_in.encode(), record.encode()))
+        with pytest.raises(CheckpointError, match=f"x.bin: duplicate record '{record}'"):
+            read_checkpoint(path)
+
 
 def reference_encoding(tensors: dict) -> bytes:
     """The documented layout, built with struct and tobytes() only."""
@@ -278,4 +293,14 @@ class TestModelCheckpoint:
         meta["model_spec"] = "{not json"
         write_checkpoint(path, tensors, meta)
         with pytest.raises(CheckpointError, match="ckpt.bin.*model_spec"):
+            load_model_checkpoint(path)
+
+    def test_negative_step_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,
+                                                    vocab_size=5, num_classes=2, max_seq_len=4)))
+        tensors, meta = read_checkpoint(path)
+        meta["step"] = -3
+        write_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError, match="ckpt.bin.*'meta/step'.*-3"):
             load_model_checkpoint(path)

@@ -239,6 +239,7 @@ CORRUPT_RECORDS = [
     ("missing_bank", _drop("blocks.1.ffn.fusion.bank"), "blocks.1.ffn.fusion.bank"),
     ("missing_dtype", _drop_meta("dtype"), "meta/dtype"),
     ("missing_step", _drop_meta("step"), "meta/step"),
+    ("negative_step", lambda tensors, meta: meta.update(step=-3), "meta/step"),
     ("wrong_shape", _resize("head.bias"), "head.bias"),
     ("invalid_dtype", lambda tensors, meta: meta.update(dtype="f16"), "meta/dtype"),
     ("nonfinite_param", _set("blocks.0.ffn.up.weight", np.nan), "blocks.0.ffn.up.weight"),
@@ -313,6 +314,26 @@ class TestCorruptRecords:
         err = capsys.readouterr().err
         assert "broken.bin" in err and "UTF-8" in err
 
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    @pytest.mark.parametrize("record", ["head.bias", "meta/step"])
+    def test_duplicated_record_is_runtime_error(self, tmp_path, capsys, saved_run, command,
+                                                record):
+        stand_in = record[:-1] + "~"  # same length, written after ``record``
+
+        def add_stand_in(tensors, meta):
+            if record.startswith("meta/"):
+                meta[stand_in[len("meta/"):]] = 7
+            else:
+                tensors[stand_in] = np.full_like(tensors[record], 7)
+
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, add_stand_in)
+        ckpt.write_bytes(ckpt.read_bytes().replace(stand_in.encode(), record.encode()))
+        capsys.readouterr()
+        assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and f"duplicate record '{record}'" in err
+        assert not (tmp_path / "x.bin").exists()
+
 
 class TestResumeOptimizerFaults:
     @pytest.mark.parametrize("case, change, record", CORRUPT_OPTIMIZER,
@@ -325,6 +346,16 @@ class TestResumeOptimizerFaults:
                          "--resume", str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert "broken.bin" in err and record in err
+        assert not (out / "metrics.csv").exists()
+
+    def test_negative_step_is_runtime_error(self, tmp_path, capsys, saved_run):
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, lambda tensors, meta: meta.update(step=-3))
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and "meta/step" in err
         assert not (out / "metrics.csv").exists()
 
 

@@ -13,7 +13,7 @@ from exfusion.fusion import (
     variance_reduction_demo,
 )
 from exfusion.moe import Router
-from exfusion.params import ExpertAffine
+from exfusion.params import ArraySource, ExpertAffine
 from exfusion.tensor import (
     NonFiniteError,
     ShapeError,
@@ -28,7 +28,7 @@ from oracles import ema_closed_form, fused_output_loop, max_rel_err, numeric_gra
 
 
 def make_set(n=4, d_in=5, d_out=7, seed=0, dtype="f32", name="e"):
-    return ExpertAffine(name, n, d_in, d_out, dtype, seed)
+    return ExpertAffine(name, n, d_in, d_out, ArraySource(dtype, seed))
 
 
 class TestFuse:
@@ -97,8 +97,8 @@ class TestStaticFusion:
         np.testing.assert_array_equal(out.data, want.data)
 
     def test_identical_experts_match_single_expert_ffn(self):
-        up = ExpertAffine("up", 4, 4, 8, "f32", 5, replicate=True)
-        down = ExpertAffine("down", 4, 8, 4, "f32", 5, replicate=True)
+        up = ExpertAffine("up", 4, 4, 8, ArraySource("f32", 5), replicate=True)
+        down = ExpertAffine("down", 4, 8, 4, ArraySource("f32", 5), replicate=True)
         x = Tensor(np.random.default_rng(4).normal(size=(3, 4)).astype(np.float32))
         out = fused_ffn_forward(x, up, down, uniform_weights(4, "f32"))
         h = gelu(add(matmul(x, Tensor(up.weight.data[0])), Tensor(up.bias.data[0])))
@@ -130,7 +130,7 @@ class TestLearnedFusion:
         up = make_set(4, 4, 8, seed=7, name="up")
         down = make_set(4, 8, 4, seed=7, name="down")
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4)).astype(np.float32))
-        lf = LearnedFusion("fusion", 4, "f32")
+        lf = LearnedFusion("fusion", 4, ArraySource("f32"))
         got = fused_ffn_forward(x, up, down, lf.step_weights(x, True))
         want = fused_ffn_forward(x, up, down, StaticFusion(4, "f32").step_weights(x, True))
         assert got.data.tobytes() == want.data.tobytes()
@@ -139,7 +139,7 @@ class TestLearnedFusion:
         up = make_set(4, 4, 8, seed=8, name="up")
         down = make_set(4, 8, 4, seed=8, name="down")
         x = Tensor(np.random.default_rng(7).normal(size=(2, 4)).astype(np.float32))
-        lf = LearnedFusion("fusion", 4, "f32")
+        lf = LearnedFusion("fusion", 4, ArraySource("f32"))
         lf.weights.data = np.array([0.0, 0.0, 1.0, 0.0], dtype=np.float32)
         out = fused_ffn_forward(x, up, down, lf.weights)
         h = gelu(add(matmul(x, Tensor(up.weight.data[2])), Tensor(up.bias.data[2])))
@@ -150,12 +150,12 @@ class TestLearnedFusion:
         up = make_set(3, 4, 6, seed=9, name="up")
         down = make_set(3, 6, 4, seed=9, name="down")
         x_np = np.random.default_rng(8).normal(size=(5, 4))
-        lf = LearnedFusion("fusion", 3, "f32")
+        lf = LearnedFusion("fusion", 3, ArraySource("f32"))
         loss = tsum(fused_ffn_forward(Tensor(x_np.astype(np.float32)), up, down, lf.weights))
         loss.backward()
 
-        up64 = ExpertAffine("u", 3, 4, 6, "f64", 9)
-        down64 = ExpertAffine("d", 3, 6, 4, "f64", 9)
+        up64 = ExpertAffine("u", 3, 4, 6, ArraySource("f64", 9))
+        down64 = ExpertAffine("d", 3, 6, 4, ArraySource("f64", 9))
         up64.weight.data = up.weight.data.astype(np.float64)
         down64.weight.data = down.weight.data.astype(np.float64)
 
@@ -168,7 +168,7 @@ class TestLearnedFusion:
     def test_frozen_weights_record_no_grad(self):
         up = make_set(3, 4, 6, seed=10, name="up")
         down = make_set(3, 6, 4, seed=10, name="down")
-        lf = LearnedFusion("fusion", 3, "f32", frozen=True)
+        lf = LearnedFusion("fusion", 3, ArraySource("f32"), frozen=True)
         x = Tensor(np.random.default_rng(9).normal(size=(2, 4)).astype(np.float32))
         tsum(fused_ffn_forward(x, up, down, lf.step_weights(x, True))).backward()
         assert lf.weights.grad is None and not lf.weights.requires_grad
@@ -176,20 +176,20 @@ class TestLearnedFusion:
 
 class TestRouterFusionWeights:
     def test_zero_router_gives_uniform(self):
-        router = Router("r", 6, 4, "f32", 0)
+        router = Router("r", 6, 4, ArraySource("f32", 0))
         router.weight.data = np.zeros_like(router.weight.data)
         x = Tensor(np.random.default_rng(10).normal(size=(2, 3, 6)).astype(np.float32))
         np.testing.assert_allclose(router_fusion_weights(x, router).data, 0.25, atol=1e-7)
 
     def test_single_token_equals_its_softmax_row(self):
-        router = Router("r", 6, 4, "f32", 11)
+        router = Router("r", 6, 4, ArraySource("f32", 11))
         x_np = np.random.default_rng(11).normal(size=(1, 1, 6)).astype(np.float32)
         got = router_fusion_weights(Tensor(x_np), router).data
         logits = x_np.reshape(1, 6) @ router.weight.data + router.bias.data
         np.testing.assert_allclose(got, softmax_rows(logits)[0], atol=1e-6)
 
     def test_matches_per_token_loop(self):
-        router = Router("r", 6, 5, "f32", 12)
+        router = Router("r", 6, 5, ArraySource("f32", 12))
         x_np = np.random.default_rng(12).normal(size=(3, 4, 6)).astype(np.float32)
         got = router_fusion_weights(Tensor(x_np), router).data
         rows = []
@@ -199,7 +199,7 @@ class TestRouterFusionWeights:
         np.testing.assert_allclose(got, np.mean(rows, axis=0), atol=1e-6)
 
     def test_sums_to_one_and_rejects_empty(self):
-        router = Router("r", 6, 4, "f32", 13)
+        router = Router("r", 6, 4, ArraySource("f32", 13))
         x = Tensor(np.random.default_rng(13).normal(size=(2, 5, 6)).astype(np.float32))
         assert abs(router_fusion_weights(x, router).data.sum() - 1.0) < 1e-6
         with pytest.raises(ValueError, match="empty"):
@@ -236,10 +236,10 @@ class TestEmaUpdate:
 
 class TestMemoryFusion:
     def _mb(self, seed=0, n=4, dim=6, delta=0.95, zero_router=False):
-        router = Router("r", dim, n, "f32", seed)
+        router = Router("r", dim, n, ArraySource("f32", seed))
         if zero_router:
             router.weight.data = np.zeros_like(router.weight.data)
-        return MemoryFusion("fusion", router, delta, "f32")
+        return MemoryFusion("fusion", router, delta, ArraySource("f32"))
 
     def test_first_training_step_composition(self):
         # zero router => w = 1/N each; bank becomes (1-delta)/N; output must equal
@@ -291,17 +291,17 @@ class TestMemoryFusion:
                                mb.step_weights(Tensor(x_np), True))).backward()
         assert mb.router.weight.grad is not None and np.any(mb.router.weight.grad != 0)
 
-        up64 = ExpertAffine("u", 4, 6, 8, "f64", 18)
-        down64 = ExpertAffine("d", 4, 8, 6, "f64", 18)
+        up64 = ExpertAffine("u", 4, 6, 8, ArraySource("f64", 18))
+        down64 = ExpertAffine("d", 4, 8, 6, ArraySource("f64", 18))
         up64.weight.data = up.weight.data.astype(np.float64)
         down64.weight.data = down.weight.data.astype(np.float64)
         bias0 = mb.router.bias.data.astype(np.float64)
 
         def f(wr):
-            router64 = Router("r", 6, 4, "f64", 0)
+            router64 = Router("r", 6, 4, ArraySource("f64", 0))
             router64.weight.data = wr
             router64.bias.data = bias0
-            fixed = MemoryFusion("m", router64, delta, "f64")
+            fixed = MemoryFusion("m", router64, delta, ArraySource("f64"))
             fixed.bank = bank0.astype(np.float64)
             w = fixed.step_weights(Tensor(x_np.astype(np.float64)), training=True)
             return float(tsum(fused_ffn_forward(Tensor(x_np.astype(np.float64)),

@@ -15,6 +15,7 @@ from exfusion.model import (
     expected_param_count,
 )
 from exfusion.optim import AdamW
+from exfusion.params import ArraySource
 from exfusion.tensor import ShapeError, Tensor, cross_entropy, no_grad
 from exfusion.train import batch_loss
 
@@ -60,7 +61,7 @@ class TestSpecValidation:
 
 class TestAttention:
     def test_single_token_output_is_projected_value(self):
-        attn = AttentionLayer("a", 8, 2, "f32", 3)
+        attn = AttentionLayer("a", 8, 2, ArraySource("f32", 3))
         x_np = np.random.default_rng(1).normal(size=(2, 1, 8)).astype(np.float32)
         out = attn(Tensor(x_np)).data
         v = x_np @ attn.v.weight.data + attn.v.bias.data
@@ -68,7 +69,7 @@ class TestAttention:
         np.testing.assert_allclose(out, want, atol=1e-6)
 
     def test_identical_tokens_identical_outputs(self):
-        attn = AttentionLayer("a", 8, 2, "f32", 4)
+        attn = AttentionLayer("a", 8, 2, ArraySource("f32", 4))
         row = np.random.default_rng(2).normal(size=8).astype(np.float32)
         x = Tensor(np.tile(row, (2, 5, 1)))
         out = attn(x).data
@@ -76,7 +77,7 @@ class TestAttention:
             np.testing.assert_allclose(out[:, t], out[:, 0], atol=1e-6)
 
     def test_attention_rows_sum_to_one(self):
-        attn = AttentionLayer("a", 16, 4, "f32", 5)
+        attn = AttentionLayer("a", 16, 4, ArraySource("f32", 5))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)).astype(np.float32))
         _, probs = attn(x, return_weights=True)
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -84,7 +85,7 @@ class TestAttention:
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
     def test_layer_and_weights_equal_the_composite(self, dtype, masked):
-        attn = AttentionLayer("a", 16, 4, dtype, 5)
+        attn = AttentionLayer("a", 16, 4, ArraySource(dtype, 5))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)), dtype=dtype)
         mask = causal_mask(7, x.dtype) if masked else None
         out, probs = attn(x, mask, return_weights=True)
@@ -149,8 +150,9 @@ class TestBlocks:
     def test_zeroed_block_is_identity(self):
         m = Model(small_spec())
         block = m.blocks[0]
-        for _, t in block.named_parameters():
-            t.data = np.zeros_like(t.data)
+        for name, t in m.named_parameters():
+            if name.startswith("blocks.0."):
+                t.data = np.zeros_like(t.data)
         x_np = np.random.default_rng(6).normal(size=(2, 4, 16)).astype(np.float32)
         out = block.forward(Tensor(x_np), None, False).data
         np.testing.assert_array_equal(out, x_np)
@@ -248,6 +250,66 @@ class TestParamAudit:
     def test_frozen_learned_weights_still_counted(self):
         spec = small_spec(variant="dw", freeze_fusion_weights=True)
         assert Model(spec).param_count() == expected_param_count(spec)
+
+
+def _names(named):
+    return [name for name, _ in named]
+
+
+class TestRegistry:
+    """A model lists the arrays its one source created, in creation order."""
+
+    def test_mb_unshared_names_in_walk_order(self):
+        # the order clip sums and AdamW steps in
+        model = Model(small_spec(variant="mb", shared_router=False, replaced_layers=(1,)))
+        assert _names(model.named_parameters()) == [
+            "embed.weight", "pos.weight",
+            "blocks.0.ln1.gain", "blocks.0.ln1.bias",
+            "blocks.0.attn.q.weight", "blocks.0.attn.q.bias",
+            "blocks.0.attn.k.weight", "blocks.0.attn.k.bias",
+            "blocks.0.attn.v.weight", "blocks.0.attn.v.bias",
+            "blocks.0.attn.o.weight", "blocks.0.attn.o.bias",
+            "blocks.0.ln2.gain", "blocks.0.ln2.bias",
+            "blocks.0.ffn.up.weight", "blocks.0.ffn.up.bias",
+            "blocks.0.ffn.down.weight", "blocks.0.ffn.down.bias",
+            "blocks.1.ln1.gain", "blocks.1.ln1.bias",
+            "blocks.1.attn.q.weight", "blocks.1.attn.q.bias",
+            "blocks.1.attn.k.weight", "blocks.1.attn.k.bias",
+            "blocks.1.attn.v.weight", "blocks.1.attn.v.bias",
+            "blocks.1.attn.o.weight", "blocks.1.attn.o.bias",
+            "blocks.1.ln2.gain", "blocks.1.ln2.bias",
+            "blocks.1.ffn.up.weight", "blocks.1.ffn.up.bias",
+            "blocks.1.ffn.down.weight", "blocks.1.ffn.down.bias",
+            "blocks.1.ffn.router.up.weight", "blocks.1.ffn.router.up.bias",
+            "blocks.1.ffn.router.down.weight", "blocks.1.ffn.router.down.bias",
+            "final_ln.gain", "final_ln.bias",
+            "head.weight", "head.bias",
+        ]
+        assert _names(model.named_buffers()) == [
+            "blocks.1.ffn.fusion.up.bank", "blocks.1.ffn.fusion.down.bank",
+        ]
+
+    @pytest.mark.parametrize("objective", ["classification", "lm"])
+    @pytest.mark.parametrize("shared_router", [True, False], ids=["shared", "unshared"])
+    @pytest.mark.parametrize("variant", ["dense", "moe", "sw", "dw", "mb"])
+    def test_names_unique_and_state_is_their_union(self, variant, shared_router, objective):
+        model = Model(small_spec(variant=variant, shared_router=shared_router,
+                                 objective=objective))
+        params, buffers = _names(model.named_parameters()), _names(model.named_buffers())
+        assert len(set(params)) == len(params) and len(set(buffers)) == len(buffers)
+        assert not set(params) & set(buffers)
+        assert set(model.state_arrays()) == set(params) | set(buffers)
+        rebuilt = Model.from_arrays(model.spec, model.state_arrays(), "f64")
+        assert _names(rebuilt.named_parameters()) == params
+        assert _names(rebuilt.named_buffers()) == buffers
+
+    def test_lists_are_copies_of_live_arrays(self):
+        model = Model(small_spec(variant="mb"))
+        model.named_parameters().clear()
+        model.named_buffers().clear()
+        assert dict(model.named_parameters())["head.weight"] is model.head.weight
+        bank = model.blocks[0].ffn.controllers[0].bank
+        assert dict(model.named_buffers())["blocks.0.ffn.fusion.bank"] is bank
 
 
 class TestFullModelGradients:

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from exfusion.moe import Router, route, topk_moe_forward, topk_select
-from exfusion.params import ExpertAffine
+from exfusion.params import ArraySource, ExpertAffine
 from exfusion.tensor import Tensor, add, gelu, matmul, tsum
 
 from oracles import max_rel_err, numeric_gradient
 
 
 def make_layer(n=4, dim=6, hidden=12, seed=0, dtype="f32", replicate=False, gate_bias=None):
-    up = ExpertAffine("up", n, dim, hidden, dtype, seed, replicate=replicate)
-    down = ExpertAffine("down", n, hidden, dim, dtype, seed, replicate=replicate)
-    router = Router("router", dim, n, dtype, seed)
+    up = ExpertAffine("up", n, dim, hidden, ArraySource(dtype, seed), replicate=replicate)
+    down = ExpertAffine("down", n, hidden, dim, ArraySource(dtype, seed), replicate=replicate)
+    router = Router("router", dim, n, ArraySource(dtype, seed))
     if gate_bias is not None:
         router.weight.data = np.zeros_like(router.weight.data)
         router.bias.data = np.asarray(gate_bias, dtype=router.bias.data.dtype)
@@ -116,9 +116,9 @@ class TestTopKGradients:
         arrays64 = [p.data.astype(np.float64) for p in params]
 
         def f(*arrs):
-            u = ExpertAffine("u", 3, 4, 6, "f64", 0)
-            d = ExpertAffine("d", 3, 6, 4, "f64", 0)
-            r = Router("r", 4, 3, "f64", 0)
+            u = ExpertAffine("u", 3, 4, 6, ArraySource("f64", 0))
+            d = ExpertAffine("d", 3, 6, 4, ArraySource("f64", 0))
+            r = Router("r", 4, 3, ArraySource("f64", 0))
             for tgt, src in zip([u.weight, u.bias, d.weight, d.bias, r.weight, r.bias], arrs):
                 tgt.data = src
             return float(topk_moe_forward(Tensor(x), u, d, r, k=2).sum().data)
