@@ -45,12 +45,14 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force and args.resume is None:
         raise ConfigError(f"output directory {out} is not empty (pass --force to reuse it)")
-    out.mkdir(parents=True, exist_ok=True)
     resolved = out / "resolved_config.ini"
-    if args.resume is None or not resolved.exists():  # a resume must keep the stored settings
-        write_resolved_config(resolved, run)
+
+    def record_config():
+        if args.resume is None or not resolved.exists():  # a resume must keep the stored settings
+            write_resolved_config(resolved, run)
+
     result = train_loop(run.model, run.task, run.train, out,
-                        resume_from=args.resume, echo=print)
+                        resume_from=args.resume, echo=print, on_start=record_config)
     metric_name = "accuracy" if run.model.objective == "classification" else "perplexity"
     print(f"done: step {result.final_step}, val {metric_name} {result.final_eval.metric:.6f}, "
           f"val loss {result.final_eval.loss:.6f}")

@@ -1,9 +1,12 @@
 """Token-routed top-k mixture layer, the training-cost comparison baseline.
 
 Each token picks the k highest-scoring full FFN experts from its softmax
-gate row and sums their gated outputs. Dispatch is per-expert on the subset
-of tokens that selected it; no capacity limits, no token dropping, no
-auxiliary balancing loss. Ties break toward the lower expert index.
+gate row and sums their gated outputs. Dispatch is sorted and dropless: the
+(token, slot) pairs are stably sorted by expert, so each expert sees the
+tokens that selected it as one contiguous segment in ascending token order,
+and one grouped affine per projection runs every segment. No capacity
+limits, no token dropping, no auxiliary balancing loss. Ties break toward
+the lower expert index.
 """
 
 from __future__ import annotations
@@ -13,15 +16,13 @@ import numpy as np
 from .params import Affine, ArraySource, ExpertAffine
 from .tensor import (
     Tensor,
-    add,
-    affine,
+    collect_rows,
+    dispatch_rows,
     gather_rows,
     gelu,
-    index_first,
-    index_last,
+    grouped_affine,
     mul,
     reshape,
-    scatter_rows,
     softmax,
 )
 
@@ -57,20 +58,24 @@ def topk_moe_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine,
     """
     b, l, d = x.shape
     t = b * l
+    n = up.n
     flat = reshape(x, (t, d))
     gates = route(flat, router)
     selected = topk_select(gates.data, k)
 
-    out = None
-    for i in range(up.n):
-        token_idx = np.nonzero((selected == i).any(axis=-1))[0]
-        if token_idx.size == 0:
-            continue
-        xi = gather_rows(flat, token_idx, unique=True)
-        h = gelu(affine(xi, index_first(up.weight, i), index_first(up.bias, i)))
-        yi = affine(h, index_first(down.weight, i), index_first(down.bias, i))
-        gi = index_last(gather_rows(gates, token_idx, unique=True), i)
-        yi = mul(yi, reshape(gi, (token_idx.size, 1)))
-        contrib = scatter_rows(yi, token_idx, t, unique=True)
-        out = contrib if out is None else add(out, contrib)
+    # stable sort of the (token, slot) pairs by expert: segment i holds, in
+    # ascending token order, the tokens that selected expert i
+    experts = selected.ravel()
+    order = np.argsort(experts, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    # a token's k sorted rows in ascending expert order, the order its outputs add up in
+    slots = np.sort(position.reshape(t, k), axis=1)
+    counts = np.bincount(experts, minlength=n)
+    xs = dispatch_rows(flat, slots)
+    h = gelu(grouped_affine(xs, up.weight, up.bias, counts))
+    ys = grouped_affine(h, down.weight, down.bias, counts)
+    tokens = order // k  # the token of each sorted row
+    gs = gather_rows(reshape(gates, (t * n, 1)), tokens * n + experts[order], unique=True)
+    out = collect_rows(mul(ys, gs), slots)
     return reshape(out, (b, l, d))

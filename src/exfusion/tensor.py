@@ -10,7 +10,9 @@ of the leaves (tensors no op produced); op outputs never keep one.
 attention from projected q/k/v to the merged context) are single tape
 nodes with hand-written vjps; they compute the same numpy operations, in
 the same order and on the same operand layouts, as the chain of small
-primitives they replace, so their outputs are bit-identical to it.
+primitives they replace, so their outputs are bit-identical to it. So is
+``grouped_affine``, one ``affine`` per consecutive row segment, each with
+its own weight and bias from a stack (the top-k MoE's expert dispatch).
 
 In-place rule: a primitive (forward or vjp) may write in place only into
 arrays it allocated in the same call and that no other node holds yet. The
@@ -38,6 +40,7 @@ __all__ = [
     "scale",
     "matmul",
     "affine",
+    "grouped_affine",
     "attention",
     "gelu",
     "softmax",
@@ -50,6 +53,8 @@ __all__ = [
     "embedding",
     "gather_rows",
     "scatter_rows",
+    "dispatch_rows",
+    "collect_rows",
     "index_first",
     "index_last",
     "combine",
@@ -350,6 +355,55 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     out = y.reshape(x_shape[:-1] + (wd.shape[1],)) if flat else y
     return Tensor._from_op(out, (x, weight, bias), vjp)
+
+
+def grouped_affine(x: Tensor, weight: Tensor, bias: Tensor, counts) -> Tensor:
+    """Consecutive row segments of ``x`` [rows, d_in], each through its own affine map.
+
+    ``weight`` is [n, d_in, d_out], ``bias`` [n, d_out] and ``counts`` the n
+    segment lengths in order, summing to ``rows``: segment i of the output
+    is ``x[segment i] @ weight[i] + bias[i]``, the gemm and in-place bias
+    add ``affine`` runs on that segment alone, written into one output
+    buffer. The vjp writes each group's weight and bias gradient into its
+    own slice of one stack-shaped buffer; only groups with no rows are
+    zeroed.
+    """
+    _check_same_dtype(x, weight, "grouped_affine")
+    _check_same_dtype(x, bias, "grouped_affine")
+    if x.ndim != 2 or weight.ndim != 3 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"grouped_affine: input {x.shape} does not fit weight stack {weight.shape}")
+    n, _, d_out = weight.shape
+    if bias.shape != (n, d_out):
+        raise ShapeError(f"grouped_affine: bias {bias.shape} does not fit weight stack {weight.shape}")
+    counts = np.asarray(counts)
+    if (counts.shape != (n,) or counts.dtype.kind not in "iu" or counts.min() < 0
+            or counts.sum() != x.shape[0]):
+        raise ShapeError(f"grouped_affine: segment sizes {counts.tolist()} do not split "
+                         f"{x.shape[0]} rows into {n} groups")
+    stops = np.cumsum(counts).tolist()
+    segments = [(i, slice(stop - int(c), stop))
+                for i, (c, stop) in enumerate(zip(counts, stops)) if c]
+    xd, wd, bd = x.data, weight.data, bias.data
+    y = np.empty((xd.shape[0], d_out), dtype=xd.dtype)
+    for i, s in segments:
+        np.matmul(xd[s], wd[i], out=y[s])
+        np.add(y[s], bd[i], out=y[s])
+
+    def vjp(g):
+        gx = np.empty(xd.shape, dtype=xd.dtype)
+        gw = np.empty_like(wd)
+        gb = np.empty_like(bd)
+        for i, s in segments:
+            gs = g[s]
+            np.matmul(gs, wd[i].T, out=gx[s])
+            np.matmul(xd[s].T, gs, out=gw[i])
+            np.sum(gs, axis=0, out=gb[i])
+        idle = counts == 0
+        gw[idle] = 0.0
+        gb[idle] = 0.0
+        return gx, gw, gb
+
+    return Tensor._from_op(y, (x, weight, bias), vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
@@ -674,6 +728,58 @@ def scatter_rows(values: Tensor, idx: np.ndarray, num_rows: int, unique: bool = 
         return (g[idx],)
 
     return Tensor._from_op(out, (values,), vjp)
+
+
+def _check_slots(slots: np.ndarray, op: str) -> np.ndarray:
+    slots = np.asarray(slots)
+    if slots.ndim != 2 or slots.dtype.kind not in "iu":
+        raise ShapeError(f"{op}: slots must be an integer [rows, k] array; got {slots.dtype} "
+                         f"of shape {slots.shape}")
+    m = slots.size
+    if m and (slots.min() < 0 or slots.max() >= m
+              or np.bincount(slots.ravel(), minlength=m).min() != 1):
+        raise ValueError(f"{op}: slots must hold each of the {m} dispatched rows exactly once")
+    return slots
+
+
+def _dispatch(a: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    out = np.empty((slots.size,) + a.shape[1:], dtype=a.dtype)
+    for r in range(slots.shape[1]):
+        out[slots[:, r]] = a
+    return out
+
+
+def _collect(v: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    out = v[slots[:, 0]]
+    for r in range(1, slots.shape[1]):
+        np.add(out, v[slots[:, r]], out=out)
+    return out
+
+
+def dispatch_rows(a: Tensor, slots: np.ndarray) -> Tensor:
+    """Copy row j of ``a`` to rows ``slots[j, :]`` of a result with ``slots.size`` rows.
+
+    ``slots`` is an integer [rows of a, k] array naming every result row
+    exactly once. The gradient of row j is ``collect_rows`` of the result's
+    gradient: its k rows added in the order ``slots[j]`` lists them.
+    """
+    slots = _check_slots(slots, "dispatch_rows")
+    if slots.shape[0] != a.shape[0]:
+        raise ShapeError(f"dispatch_rows: slots {slots.shape} do not fit input {a.shape}")
+    return Tensor._from_op(_dispatch(a.data, slots), (a,), lambda g: (_collect(g, slots),))
+
+
+def collect_rows(values: Tensor, slots: np.ndarray) -> Tensor:
+    """Row j is ``values[slots[j, 0]] + values[slots[j, 1]] + ...``, added left to right.
+
+    The adjoint of ``dispatch_rows``: ``slots`` is an integer [rows, k] array
+    naming every row of ``values`` exactly once, so no row is summed twice
+    and no ``np.add.at`` is needed.
+    """
+    slots = _check_slots(slots, "collect_rows")
+    if slots.size != values.shape[0]:
+        raise ShapeError(f"collect_rows: slots {slots.shape} do not fit values {values.shape}")
+    return Tensor._from_op(_collect(values.data, slots), (values,), lambda g: (_dispatch(g, slots),))
 
 
 def index_first(a: Tensor, i: int) -> Tensor:

@@ -184,14 +184,17 @@ def _drop_rows_after(metrics_path: Path, step: int) -> None:
 
 def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
                out_dir, resume_from=None, halt_at_step: int | None = None,
-               echo: Callable[[str], None] | None = None) -> TrainResult:
+               echo: Callable[[str], None] | None = None,
+               on_start: Callable[[], None] | None = None) -> TrainResult:
     """Run (or resume) a training job, writing metrics and checkpoints.
 
     ``halt_at_step`` simulates an interruption after that step completes;
     checkpoints already written stay valid for a later ``resume_from``.
+    ``out_dir`` is created, and ``on_start`` called, only once the task, the
+    model and any resume checkpoint have passed their checks, so a refused
+    run leaves ``out_dir`` as it found it.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     say = echo or (lambda s: None)
 
     task = build_task(task_spec)
@@ -220,6 +223,9 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
             raise CheckpointError(f"{resume_from}: cannot restore the optimizer: {exc}") from None
     sched = CosineSchedule(cfg.warmup_steps, cfg.steps, cfg.base_lr, cfg.min_lr)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if on_start is not None:
+        on_start()
     metrics_path = out_dir / "metrics.csv"
     if resume_from is not None and metrics_path.exists():
         _drop_rows_after(metrics_path, start_step)

@@ -27,6 +27,7 @@ from .tensor import (
     attention,
     cross_entropy,
     gelu,
+    grouped_affine,
     layernorm,
     matmul,
     mul,
@@ -127,6 +128,9 @@ def _primitive_cases(rng):
     logits = rng.normal(size=(4, 3))
     qkv = [rng.normal(size=(2, 3, 4)) for _ in range(3)]
     u3 = rng.normal(size=(2, 3, 4))
+    # rows of 3 groups in segments of 2, 0 and 3: the middle group gets no rows
+    xg, wg, bg = rng.normal(size=(5, 4)), rng.normal(size=(3, 4, 3)), rng.normal(size=(3, 3)) * 0.1
+    ug = rng.normal(size=(5, 3))
 
     def attend(ts):
         mask = causal_mask(3, ts[0].dtype)
@@ -137,6 +141,9 @@ def _primitive_cases(rng):
         ("affine", [x, y, b[:3]], lambda ts: tsum(mul(affine(ts[0], ts[1], ts[2]),
                                                       Tensor(u[:, :3].astype(ts[0].dtype))))),
         ("attention", qkv, attend),
+        ("grouped_affine", [xg, wg, bg],
+         lambda ts: tsum(mul(grouped_affine(ts[0], ts[1], ts[2], (2, 0, 3)),
+                             Tensor(ug.astype(ts[0].dtype))))),
         ("add_mul", [x, u], lambda ts: tsum(mul(add(ts[0], ts[1]), ts[0]))),
         ("gelu", [x], lambda ts: tsum(gelu(ts[0]))),
         ("softmax", [x], lambda ts: tsum(mul(softmax(ts[0], -1),

@@ -10,13 +10,31 @@ The exception is the composite chains that the fused ``affine`` and
 library's smaller primitives, so the fused ops can be held byte-equal to
 them, forward and backward. ``layernorm_reference`` is the layernorm
 forward and vjp as separate numpy temporaries, in the primitive's order.
+``topk_moe_loop`` is the per-expert slice loop that the sorted dispatch of
+``moe.topk_moe_forward`` replaced.
 """
 
 import math
 
 import numpy as np
 
-from exfusion.tensor import Tensor, add, matmul, reshape, scale, softmax, transpose
+from exfusion.moe import route, topk_select
+from exfusion.tensor import (
+    Tensor,
+    add,
+    affine,
+    gather_rows,
+    gelu,
+    index_first,
+    index_last,
+    matmul,
+    mul,
+    reshape,
+    scale,
+    scatter_rows,
+    softmax,
+    transpose,
+)
 
 
 def numeric_gradient(fn, arrays, wrt, h):
@@ -136,3 +154,26 @@ def layernorm_reference(x, gain, bias, g, eps=1e-5):
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - m1 - xhat * m2)
     return out, dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+
+def topk_moe_loop(x, up, down, router, k):
+    """Top-k MoE forward as one slice, gather and scatter chain per expert."""
+    b, l, d = x.shape
+    t = b * l
+    flat = reshape(x, (t, d))
+    gates = route(flat, router)
+    selected = topk_select(gates.data, k)
+
+    out = None
+    for i in range(up.n):
+        token_idx = np.nonzero((selected == i).any(axis=-1))[0]
+        if token_idx.size == 0:
+            continue
+        xi = gather_rows(flat, token_idx, unique=True)
+        h = gelu(affine(xi, index_first(up.weight, i), index_first(up.bias, i)))
+        yi = affine(h, index_first(down.weight, i), index_first(down.bias, i))
+        gi = index_last(gather_rows(gates, token_idx, unique=True), i)
+        yi = mul(yi, reshape(gi, (token_idx.size, 1)))
+        contrib = scatter_rows(yi, token_idx, t, unique=True)
+        out = contrib if out is None else add(out, contrib)
+    return reshape(out, (b, l, d))

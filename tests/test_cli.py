@@ -358,6 +358,18 @@ class TestResumeOptimizerFaults:
         assert "broken.bin" in err and "meta/step" in err
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("existed", [False, True], ids=["missing_out", "empty_out"])
+    def test_refused_resume_leaves_out_for_a_plain_train(self, tmp_path, saved_run, existed):
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, lambda tensors, meta: meta.update(step=-3))
+        out = tmp_path / "fresh"
+        if existed:
+            out.mkdir()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         "--resume", str(ckpt)]) == 2
+        assert out.exists() == existed and (not existed or not any(out.iterdir()))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "resolved_config.ini").exists()
+
 
 class TestEvalCommand:
     def test_eval_twice_identical(self, tmp_path, capsys):

@@ -238,6 +238,21 @@ class TestTapeSize:
         loss = batch_loss(Model(spec), tokens, np.roll(tokens, -1, axis=1), training=True)
         assert tape_nodes(loss) == 79
 
+    @pytest.mark.parametrize("num_experts, top_k", [(2, 1), (4, 1), (4, 2)])
+    def test_depth2_moe_step(self, num_experts, top_k):
+        # 42 leaves: embed, pos, 18 per block (2 layernorms, q/k/v/o, the up and
+        # down expert stacks, the router), final_ln, head. 49 ops: embedding,
+        # position gather and add; per block ln1, q/k/v affines, attention, o
+        # affine, residual add, ln2, then the moe layer: the token reshape,
+        # router affine, softmax, sorted-row gather, up grouped_affine, gelu,
+        # down grouped_affine, gate reshape, gate gather, gate mul, scatter
+        # back, output reshape; residual add; final_ln, head affine, the
+        # logits reshape, cross_entropy. No count depends on the expert count.
+        spec = small_spec(objective="lm", variant="moe", num_experts=num_experts, top_k=top_k)
+        tokens = rand_tokens(spec)
+        loss = batch_loss(Model(spec), tokens, np.roll(tokens, -1, axis=1), training=True)
+        assert tape_nodes(loss) == 91
+
 
 class TestParamAudit:
     @pytest.mark.parametrize("variant", ["dense", "sw", "dw", "mb", "moe"])

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from exfusion.moe import Router, route, topk_moe_forward, topk_select
 from exfusion.params import ArraySource, ExpertAffine
-from exfusion.tensor import Tensor, add, gelu, matmul, tsum
+from exfusion.tensor import Tensor, add, gelu, matmul, mul, tsum
 
-from oracles import max_rel_err, numeric_gradient
+from oracles import max_rel_err, numeric_gradient, topk_moe_loop
 
 
 def make_layer(n=4, dim=6, hidden=12, seed=0, dtype="f32", replicate=False, gate_bias=None):
@@ -136,3 +138,62 @@ class TestTopKGradients:
         assert np.all(up.weight.grad[2] == 0)
         assert np.all(down.weight.grad[2] == 0)
         assert np.any(up.weight.grad[0] != 0)
+
+
+N_EXPERTS = 4
+# name -> (router gate bias or None for the seeded router, zero router weight, x shape)
+DISPATCH_CASES = {
+    "random": (None, False, (3, 5, 6)),
+    "wide": (None, False, (4, 16, 32)),
+    "idle_expert": ([1.0, 0.5, -30.0, 0.0], True, (3, 5, 6)),  # expert 2 is never picked below k=N
+    "one_expert": ([-30.0, 30.0, -30.0, -30.0], True, (3, 5, 6)),  # every token prefers expert 1
+    "tied_gates": ([0.0] * N_EXPERTS, True, (3, 5, 6)),  # equal gates: ties go to the lower index
+    "single_token": (None, False, (1, 1, 6)),
+}
+
+
+def _dispatch_run(forward, case, dtype, k):
+    """Output and the x, router, up and down gradients of one moe forward."""
+    bias, zero_router, shape = DISPATCH_CASES[case]
+    dim = shape[-1]
+    up = ExpertAffine("up", N_EXPERTS, dim, 2 * dim, ArraySource(dtype, 11))
+    down = ExpertAffine("down", N_EXPERTS, 2 * dim, dim, ArraySource(dtype, 12))
+    router = Router("router", dim, N_EXPERTS, ArraySource(dtype, 13))
+    dt = up.weight.data.dtype
+    if zero_router:
+        router.weight.data = np.zeros_like(router.weight.data)
+    if bias is not None:
+        router.bias.data = np.asarray(bias, dtype=dt)
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=shape).astype(dt), requires_grad=True)
+    u = Tensor(rng.normal(size=shape).astype(dt))
+    out = forward(x, up, down, router, k)
+    tsum(mul(out, u)).backward()
+    load = np.bincount(topk_select(route(x, router).data.reshape(-1, N_EXPERTS), k).ravel(),
+                       minlength=N_EXPERTS)
+    arrays = [out.data, x.grad] + [t.grad for t in (router.weight, router.bias, up.weight,
+                                                     up.bias, down.weight, down.bias)]
+    return arrays, load
+
+
+class TestSortedDispatch:
+    """The sorted dispatch is byte-equal to the per-expert loop it replaced."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("k", [1, 2, N_EXPERTS])
+    @pytest.mark.parametrize("case", list(DISPATCH_CASES))
+    def test_output_and_gradients_match_the_loop(self, case, k, dtype):
+        got, load = _dispatch_run(topk_moe_forward, case, dtype, k)
+        want, _ = _dispatch_run(topk_moe_loop, case, dtype, k)
+        names = ["output", "x", "router.weight", "router.bias", "up.weight", "up.bias",
+                 "down.weight", "down.bias"]
+        for name, a, b in zip(names, got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        tokens = math.prod(DISPATCH_CASES[case][2][:-1])
+        assert load.sum() == tokens * k
+        if case == "idle_expert" and k < N_EXPERTS:
+            assert load[2] == 0 and not got[4][2].any() and not got[5][2].any()
+        if case == "one_expert":
+            assert load[1] == tokens
+        if case == "tied_gates":
+            np.testing.assert_array_equal(load, [tokens] * k + [0] * (N_EXPERTS - k))

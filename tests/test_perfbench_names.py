@@ -9,9 +9,11 @@ does not collect.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exfusion import tensor
+from exfusion.model import Model, ModelSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,3 +48,22 @@ def test_install_patches_and_restores_every_hook(tracer):
     finally:
         t.uninstall()
     assert tracer.changed_attributes(before) == []
+
+
+def test_moe_forward_is_traced_and_counts_its_rows(tracer):
+    # a moe forward that stops calling ``model.topk_moe_forward`` or
+    # ``moe.topk_select`` through their module globals would report 0 here
+    spec = ModelSpec(depth=2, dim=8, heads=2, expansion=2, vocab_size=7, num_classes=3,
+                     max_seq_len=5, variant="moe", num_experts=3, top_k=2, seed=1)
+    model = Model(spec)
+    tokens = np.random.default_rng(0).integers(0, spec.vocab_size, size=(3, 5))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        model.forward(tokens, training=True)
+    finally:
+        t.uninstall()
+    spans = t.by_name()
+    assert spans[("bench", "moe.forward")][0] == spec.depth
+    assert t.counters[("bench", "moe.dispatched_rows")] == spec.depth * tokens.size * spec.top_k
+    assert len(t.expert_shares["bench"]) == spec.depth

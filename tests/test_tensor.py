@@ -488,12 +488,81 @@ class TestFusedPrimitives:
         for i, (got, ref) in enumerate(zip(grads, want[1:])):
             assert _same_bytes(got, ref), f"gradient of input {i}"
 
-    @pytest.mark.parametrize("op", ["affine", "attention", "layernorm"])
+    @pytest.mark.parametrize("counts", [(3, 0, 4), (7, 0, 0), (0, 0, 0), (1, 1, 1)],
+                             ids=["idle_middle", "one_group", "no_rows", "single_rows"])
+    def test_grouped_affine_matches_affine_per_segment(self, dtype, counts):
+        rng = np.random.default_rng(19)
+        n, d_in, d_out = len(counts), 6, 5
+        x = rng.normal(size=(sum(counts), d_in)).astype(dtype)
+        w = rng.normal(size=(n, d_in, d_out)).astype(dtype)
+        b = rng.normal(size=(n, d_out)).astype(dtype)
+        g = rng.normal(size=(sum(counts), d_out)).astype(dtype)
+        out, (gx, gw, gb) = _run(lambda *t: T.grouped_affine(*t, counts), [x, w, b], g)
+        start = 0
+        for i, c in enumerate(counts):
+            s = slice(start, start + c)
+            start += c
+            if not c:
+                assert not gw[i].any() and not gb[i].any()
+                continue
+            want, (wx, ww, wb) = _run(T.affine, [x[s], w[i], b[i]], g[s])
+            assert _same_bytes(out.data[s], want.data), f"output of group {i}"
+            assert _same_bytes(gx[s], wx) and _same_bytes(gw[i], ww) and _same_bytes(gb[i], wb)
+
+    def test_grouped_affine_shape_checks(self, dtype):
+        x = Tensor(np.zeros((5, 4), dtype=dtype))
+        w = Tensor(np.zeros((2, 4, 3), dtype=dtype))
+        b = Tensor(np.zeros((2, 3), dtype=dtype))
+        with pytest.raises(ShapeError, match="weight"):
+            T.grouped_affine(x, Tensor(np.zeros((2, 3, 3), dtype=dtype)), b, (2, 3))
+        with pytest.raises(ShapeError, match="bias"):
+            T.grouped_affine(x, w, Tensor(np.zeros((3, 3), dtype=dtype)), (2, 3))
+        for counts in [(2, 2), (6, -1), (5,), (1, 2, 2), (2.0, 3.0)]:
+            with pytest.raises(ShapeError, match="segment"):
+                T.grouped_affine(x, w, b, counts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dispatch_and_collect_rows_match_add_at(self, dtype, k):
+        rng = np.random.default_rng(23 + k)
+        t, d = 7, 5
+        slots = np.sort(rng.permutation(t * k).reshape(t, k), axis=1)
+        rows = np.empty(t * k, dtype=np.intp)
+        rows[slots] = np.arange(t)[:, None]  # the source row of each dispatched row
+        a = rng.normal(size=(t, d)).astype(dtype)
+        v = rng.normal(size=(t * k, d)).astype(dtype)
+        ga = rng.normal(size=(t * k, d)).astype(dtype)
+        gv = rng.normal(size=(t, d)).astype(dtype)
+        _assert_byte_equal(lambda x: T.dispatch_rows(x, slots),
+                           lambda x: gather_rows(x, rows), [a], ga)
+        _assert_byte_equal(lambda x: T.collect_rows(x, slots),
+                           lambda x: scatter_rows(x, rows, t, unique=False), [v], gv)
+
+    def test_dispatch_and_collect_rows_checks(self, dtype):
+        a = Tensor(np.zeros((3, 2), dtype=dtype))
+        v = Tensor(np.zeros((6, 2), dtype=dtype))
+        with pytest.raises(ShapeError, match="slots"):
+            T.dispatch_rows(a, np.arange(6))
+        with pytest.raises(ShapeError, match="slots"):
+            T.dispatch_rows(a, np.arange(6).reshape(2, 3))
+        with pytest.raises(ShapeError, match="slots"):
+            T.collect_rows(v, np.arange(4).reshape(2, 2))
+        with pytest.raises(ShapeError, match="integer"):
+            T.dispatch_rows(a, np.arange(6.0).reshape(3, 2))
+        for bad in ([[0, 1], [1, 2], [3, 4]], [[0, 1], [2, 3], [4, 6]], [[0, 1], [2, 3], [4, -1]]):
+            with pytest.raises(ValueError, match="exactly once"):
+                T.dispatch_rows(a, np.array(bad))
+            with pytest.raises(ValueError, match="exactly once"):
+                T.collect_rows(v, np.array(bad))
+
+    @pytest.mark.parametrize("op", ["affine", "grouped_affine", "attention", "layernorm"])
     def test_one_node_parents_untouched_backward_repeatable(self, dtype, op):
         rng = np.random.default_rng(17)
         if op == "affine":
             arrays = [rng.normal(size=(2, 4, 6)), rng.normal(size=(6, 3)), rng.normal(size=3)]
             fn = T.affine
+        elif op == "grouped_affine":
+            arrays = [rng.normal(size=(8, 6)), rng.normal(size=(3, 6, 3)), rng.normal(size=(3, 3))]
+            fn = lambda *t: T.grouped_affine(*t, (5, 0, 3))  # noqa: E731
         elif op == "attention":
             arrays = [rng.normal(size=(2, 4, 6)) for _ in range(3)]
             mask = np.triu(np.full((4, 4), -1e9), k=1).astype(dtype)
@@ -616,6 +685,17 @@ class TestGradChecks:
                                             Tensor(u.astype(ts[0].data.dtype)))),
                         [x, w, b], dtype)
 
+    def test_grouped_affine(self, dtype):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(6, 4)) * 0.5
+            w = rng.normal(size=(4, 4, 3)) * 0.5
+            b = rng.normal(size=(4, 3)) * 0.1
+            u = rng.normal(size=(6, 3))
+            check_grads(lambda ts: tsum(mul(T.grouped_affine(ts[0], ts[1], ts[2], (2, 0, 3, 1)),
+                                            Tensor(u.astype(ts[0].data.dtype)))),
+                        [x, w, b], dtype)
+
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
     def test_attention(self, dtype, masked):
         mask = np.triu(np.full((4, 4), -1e9), k=1) if masked else None
@@ -656,6 +736,20 @@ class TestGradChecks:
                 g = gather_rows(ts[0], idx)
                 s = scatter_rows(g, np.array([1, 4, 0]), 6)
                 return tsum(mul(s, s))
+
+            check_grads(loss, [x], dtype)
+
+    def test_dispatch_collect_rows(self, dtype):
+        slots = np.array([[4, 0], [1, 5], [2, 3]])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(3, 4))
+            u = rng.normal(size=(6, 4))
+
+            def loss(ts):
+                spread = mul(T.dispatch_rows(ts[0], slots), Tensor(u.astype(ts[0].data.dtype)))
+                c = T.collect_rows(spread, slots)
+                return tsum(mul(c, c))
 
             check_grads(loss, [x], dtype)
 
