@@ -142,7 +142,10 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             dtype = _DTYPES[code]
             nbytes = math.prod(dims) * dtype.itemsize
             check_left(nbytes)
-            arr = np.empty(dims, dtype=dtype.newbyteorder("<"))
+            try:
+                arr = np.empty(dims, dtype=dtype.newbyteorder("<"))
+            except ValueError as exc:  # a rank or dim numpy cannot build, with no payload
+                raise CheckpointError(f"{path}: record {name!r} has impossible dims: {exc}") from None
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise CheckpointError(f"{path}: short read of {name!r}")
             into[key] = arr.astype(dtype, copy=False)
@@ -210,7 +213,7 @@ def load_model_checkpoint(path) -> LoadedModel:
 
     tensors, meta = read_checkpoint(path)
     spec = _meta_field(path, meta, "model_spec",
-                       lambda m, k: ModelSpec.from_dict(meta_json(m, k)))
+                       lambda m, k: ModelSpec(**meta_json(m, k)))
     dtype = _meta_field(path, meta, "dtype", _dtype_name)
     step = _meta_field(path, meta, "step", meta_int)
     if step < 0:

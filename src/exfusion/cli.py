@@ -64,11 +64,6 @@ def cmd_train(args) -> int:
 def cmd_export(args) -> int:
     loaded = load_model_checkpoint(args.ckpt)
     model = loaded.model
-    if model.spec.variant == "dense":
-        print("warning: checkpoint is already dense; nothing to export")
-        return EXIT_OK
-    if model.spec.variant == "moe":
-        raise ConfigError("top-k mixture checkpoints cannot be collapsed into a dense model")
     dense = collapse_to_dense(model)
 
     rng = np.random.default_rng(0)

@@ -1,21 +1,24 @@
-"""Run configuration: INI file with [model], [task], [train] sections.
+"""Run configuration: INI file with [model], [task], [train], [bench] sections.
 
-Every key is validated before anything is allocated; unknown sections or
-keys are rejected by name. The model's data-dependent fields (vocab,
-classes, objective, max sequence length) derive from the task, so the
-[model] section only describes architecture and the FFN variant.
+Each section is the dataclass it builds: its keys and their types are the
+dataclass's fields, so a field is declared once and read and written with
+no second edit. Every key is validated before anything is allocated;
+unknown sections or keys are rejected by name. The model's data-dependent
+fields (``train.TASK_DERIVED``) come from the task, so the [model] section
+only describes architecture and the FFN variant.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .model import ModelSpec
 from .tasks import TaskSpec, build_task
-from .train import TrainConfig, model_spec_for_task
+from .train import TASK_DERIVED, TrainConfig, model_spec_for_task
 
 
 class ConfigError(ValueError):
@@ -51,29 +54,14 @@ def _parse_layers(section: str, key: str, raw: str):
         ) from None
 
 
-MODEL_KEYS = {
-    "depth": int, "dim": int, "heads": int, "expansion": int,
-    "variant": str, "num_experts": int, "top_k": int, "momentum": float,
-    "replaced_layers": "layers", "shared_router": bool, "expert_init": str,
-    "freeze_fusion_weights": bool, "seed": int,
-}
-
-TASK_KEYS = {
-    "task": str, "seq_len": int, "vocab_size": int, "num_classes": int,
-    "train_size": int, "val_size": int, "noise": float, "val_fraction": float,
-    "seed": int,
-}
-
-TRAIN_KEYS = {
-    "steps": int, "batch_size": int, "base_lr": float, "min_lr": float,
-    "warmup_steps": int, "weight_decay": float, "beta1": float, "beta2": float,
-    "eps": float, "grad_clip": float, "log_interval": int,
-    "checkpoint_interval": int, "dtype": str, "deterministic": bool,
-}
-
-BENCH_KEYS = {"timed_steps": int, "warmup_steps": int}
-
-_SECTIONS = {"model": MODEL_KEYS, "task": TASK_KEYS, "train": TRAIN_KEYS, "bench": BENCH_KEYS}
+def _format(obj, key: str) -> str:
+    """One INI value; the inverse of ``_convert`` and ``_parse_layers``."""
+    value = getattr(obj, key)
+    if key == "replaced_layers":
+        if value == tuple(range(obj.depth)):
+            return "all"
+        return ",".join(str(i) for i in value) or "none"
+    return str(value)
 
 
 @dataclass
@@ -94,16 +82,27 @@ class RunConfig:
     bench: BenchConfig
 
 
+_SECTIONS = {"model": ModelSpec, "task": TaskSpec, "train": TrainConfig, "bench": BenchConfig}
+
+
+def _schema(section: str) -> dict:
+    """The section's keys, in field order, with their types."""
+    cls = _SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    skip = TASK_DERIVED if cls is ModelSpec else ()
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
 def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
-    schema = _SECTIONS[section]
+    schema = _schema(section)
     out = {}
     if not parser.has_section(section):
         return out
     for key, raw in parser.items(section):
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        kind = schema[key]
-        out[key] = _parse_layers(section, key, raw) if kind == "layers" else _convert(section, key, raw, kind)
+        out[key] = (_parse_layers(section, key, raw) if key == "replaced_layers"
+                    else _convert(section, key, raw, schema[key]))
     return out
 
 
@@ -124,25 +123,20 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
-    model_kw = _section_values(parser, "model")
-    task_kw = _section_values(parser, "task")
-    train_kw = _section_values(parser, "train")
-    bench_kw = _section_values(parser, "bench")
-
+    kw = {section: _section_values(parser, section) for section in _SECTIONS}
     overrides = overrides or {}
     if overrides.get("seed") is not None:
-        model_kw["seed"] = task_kw["seed"] = int(overrides["seed"])
+        kw["model"]["seed"] = kw["task"]["seed"] = int(overrides["seed"])
     if overrides.get("dtype") is not None:
-        train_kw["dtype"] = overrides["dtype"]
+        kw["train"]["dtype"] = overrides["dtype"]
     if overrides.get("deterministic"):
-        train_kw["deterministic"] = True
+        kw["train"]["deterministic"] = True
 
     try:
-        task_spec = TaskSpec(**task_kw)
-        train_cfg = TrainConfig(**train_kw)
-        bench_cfg = BenchConfig(**bench_kw)
-        task = build_task(task_spec)
-        model_spec = model_spec_for_task(task, **model_kw)
+        task_spec = TaskSpec(**kw["task"])
+        train_cfg = TrainConfig(**kw["train"])
+        bench_cfg = BenchConfig(**kw["bench"])
+        model_spec = model_spec_for_task(build_task(task_spec), **kw["model"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return RunConfig(model=model_spec, task=task_spec, train=train_cfg, bench=bench_cfg)
@@ -151,17 +145,8 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 def write_resolved_config(path, run: RunConfig) -> None:
     """Write the fully-resolved configuration the run actually used."""
     parser = configparser.ConfigParser()
-    model = dataclasses.asdict(run.model)
-    for derived in ("vocab_size", "num_classes", "max_seq_len", "objective"):
-        model.pop(derived)
-    replaced = run.model.replaced_layers
-    if replaced == tuple(range(run.model.depth)):
-        model["replaced_layers"] = "all"
-    else:
-        model["replaced_layers"] = ",".join(str(i) for i in replaced) if replaced else "none"
-    parser["model"] = {k: str(v) for k, v in model.items()}
-    parser["task"] = {k: str(v) for k, v in run.task.to_dict().items()}
-    parser["train"] = {k: str(v) for k, v in run.train.to_dict().items()}
-    parser["bench"] = {k: str(v) for k, v in dataclasses.asdict(run.bench).items()}
+    for section in _SECTIONS:
+        obj = getattr(run, section)
+        parser[section] = {key: _format(obj, key) for key in _schema(section)}
     with open(path, "w", newline="\n") as fh:
         parser.write(fh)

@@ -120,16 +120,7 @@ class ModelSpec:
         return self.num_classes if self.objective == "classification" else self.vocab_size
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["replaced_layers"] = list(self.replaced_layers)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        if d.get("replaced_layers") is not None:
-            d["replaced_layers"] = tuple(d["replaced_layers"])
-        return cls(**d)
+        return dataclasses.asdict(self)
 
 
 class AttentionLayer:

@@ -51,10 +51,6 @@ class TaskSpec:
 
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(**d)
-
 
 def load_bundled_text() -> str:
     return (importlib.resources.files("exfusion") / "data" / "charlm.txt").read_text("utf-8")

@@ -9,6 +9,7 @@ land in the output directory as ``ckpt_NNNNNN.bin``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,8 +56,18 @@ class TrainConfig:
             raise ValueError(
                 f"warmup_steps must be in [0, steps={self.steps}]; got {self.warmup_steps}"
             )
+        for name in ("base_lr", "min_lr", "eps", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
         if self.base_lr <= 0 or self.min_lr < 0 or self.min_lr > self.base_lr:
             raise ValueError("need base_lr > 0 and 0 <= min_lr <= base_lr")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1); got {getattr(self, name)}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0; got {self.eps}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0; got {self.weight_decay}")
         if self.log_interval < 1:
             raise ValueError(f"log_interval must be >= 1; got {self.log_interval}")
         if self.checkpoint_interval < 0 or self.grad_clip < 0:
@@ -148,8 +159,13 @@ def _check_compatible(spec: ModelSpec, task) -> None:
         raise ValueError("model/task mismatch: " + "; ".join(problems))
 
 
+# The ModelSpec fields that model_spec_for_task fills from the task; a run
+# config's [model] section does not set them.
+TASK_DERIVED = ("vocab_size", "num_classes", "max_seq_len", "objective")
+
+
 def model_spec_for_task(task, **kw) -> ModelSpec:
-    """Fill the data-dependent ModelSpec fields from a built task."""
+    """Fill the data-dependent ModelSpec fields (``TASK_DERIVED``) from a built task."""
     kw.setdefault("max_seq_len", task.spec.seq_len)
     return ModelSpec(
         vocab_size=task.vocab_size,

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestContainer:
             path.write_bytes(bytes(raw))
             with pytest.raises(CheckpointError, match="truncated.*bytes declared"):
                 read_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(0, 2 ** 63), (1,) * 65], ids=["huge_dim", "rank_65"])
+    def test_impossible_dims_refused(self, tmp_path, dims):
+        # both declare at most 4 payload bytes, so only building the array can fail
+        path = tmp_path / "x.bin"
+        payload = b"\0" * (4 * math.prod(dims))
+        path.write_bytes(MAGIC + struct.pack("<IIIc", VERSION, 1, 1, b"w")
+                         + struct.pack("<BB", 0, len(dims))
+                         + b"".join(struct.pack("<Q", d) for d in dims) + payload)
+        with pytest.raises(CheckpointError, match=r"x\.bin: record 'w' has impossible dims"):
+            read_checkpoint(path)
 
     def test_truncated_payload_refused(self, tmp_path):
         path, raw, dims_at = self._single_record(tmp_path)

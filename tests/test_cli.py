@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -88,6 +89,15 @@ class TestTrainCommand:
         assert "empty validation split" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_invalid_optimizer_setting_fails_before_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("[train]\n", "[train]\nbeta1 = 1.5\n"))
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--deterministic"])
+        assert code == 1
+        assert "beta1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_nonempty_out_dir_requires_force(self, tmp_path, capsys):
         code, out = train(tmp_path)
         assert code == 0
@@ -141,12 +151,18 @@ class TestExportCommand:
         baseline = int(text.split("dense baseline:")[1].split(")")[0])
         assert after == baseline < before
 
-    def test_dense_input_warns_and_succeeds(self, tmp_path, capsys):
+    def test_dense_input_is_written_unchanged(self, tmp_path):
+        from exfusion.checkpoint import read_checkpoint
+
         _, out = train(tmp_path, variant="dense")
-        code = cli.main(["export", str(out / "ckpt_000020.bin"),
-                         "--out", str(tmp_path / "dup.bin")])
-        assert code == 0
-        assert "already dense" in capsys.readouterr().out
+        src, dst = out / "ckpt_000020.bin", tmp_path / "dup.bin"
+        assert cli.main(["export", str(src), "--out", str(dst)]) == 0
+        source = {k: v for k, v in read_checkpoint(src)[0].items() if not k.startswith("opt/")}
+        exported = read_checkpoint(dst)[0]
+        assert sorted(exported) == sorted(source)
+        for name, arr in source.items():
+            assert exported[name].dtype == arr.dtype and exported[name].shape == arr.shape
+            assert exported[name].tobytes() == arr.tobytes(), name
 
     def test_moe_input_rejected(self, tmp_path, capsys):
         _, out = train(tmp_path, variant="moe")
@@ -313,6 +329,24 @@ class TestCorruptRecords:
         assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
         err = capsys.readouterr().err
         assert "broken.bin" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("command", ["export", "eval"])
+    @pytest.mark.parametrize("dims", [(0, 2 ** 63), (1,) * 65], ids=["huge_dim", "rank_65"])
+    def test_impossible_dims_are_runtime_errors(self, tmp_path, capsys, saved_run, command,
+                                                dims):
+        cfg, raw = saved_run
+        (count,) = struct.unpack_from("<I", raw, 8)
+        first = (struct.pack("<I", len(b"head.bias")) + b"head.bias"
+                 + struct.pack("<BB", 0, len(dims))
+                 + b"".join(struct.pack("<Q", d) for d in dims)
+                 + b"\0" * (4 * math.prod(dims)))
+        ckpt = tmp_path / "broken.bin"
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", count + 1) + first + raw[12:])
+        capsys.readouterr()
+        assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and "'head.bias' has impossible dims" in err
+        assert not (tmp_path / "x.bin").exists()
 
     @pytest.mark.parametrize("command", ["export", "eval"])
     @pytest.mark.parametrize("record", ["head.bias", "meta/step"])

@@ -1,6 +1,14 @@
+import configparser
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
-from exfusion.config import ConfigError, load_run_config, write_resolved_config
+from exfusion.config import BenchConfig, ConfigError, load_run_config, write_resolved_config
+from exfusion.model import ModelSpec
+from exfusion.tasks import TaskSpec
+from exfusion.train import TASK_DERIVED, TrainConfig
 
 FULL = """
 [model]
@@ -40,6 +48,64 @@ checkpoint_interval = 10
 dtype = f32
 deterministic = true
 """
+
+
+# Every key of every section, each set away from its default.
+EVERY_KEY = """
+[model]
+depth = 2
+dim = 16
+heads = 2
+expansion = 2
+variant = mb
+num_experts = 3
+top_k = 2
+momentum = 0.9
+replaced_layers = 1
+shared_router = false
+expert_init = replicate
+freeze_fusion_weights = true
+seed = 9
+
+[task]
+task = char_lm
+seq_len = 8
+vocab_size = 16
+num_classes = 4
+train_size = 128
+val_size = 32
+noise = 0.3
+val_fraction = 0.2
+seed = 9
+
+[train]
+steps = 20
+batch_size = 8
+base_lr = 2e-3
+min_lr = 2e-5
+warmup_steps = 5
+weight_decay = 0.01
+beta1 = 0.8
+beta2 = 0.99
+eps = 1e-7
+grad_clip = 0.5
+log_interval = 10
+checkpoint_interval = 10
+dtype = f64
+deterministic = false
+
+[bench]
+timed_steps = 5
+warmup_steps = 1
+"""
+
+SECTIONS = {"model": ModelSpec, "task": TaskSpec, "train": TrainConfig, "bench": BenchConfig}
+
+
+def schema_keys(section):
+    """The INI keys of a section: its dataclass's fields, less the task-derived ones."""
+    skip = TASK_DERIVED if section == "model" else ()
+    return [f.name for f in dataclasses.fields(SECTIONS[section]) if f.name not in skip]
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -102,12 +168,46 @@ class TestLoad:
         assert run.train.dtype == "f64"
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", "1.5"), ("beta1", "-0.1"), ("beta2", "1.0"), ("eps", "0"), ("eps", "inf"),
+        ("weight_decay", "-5"), ("weight_decay", "nan"), ("base_lr", "nan"), ("min_lr", "nan"),
+    ])
+    def test_invalid_optimizer_setting_names_key(self, tmp_path, key, value):
+        bad = re.sub(rf"^{key} = .*\n", "", FULL, flags=re.M)
+        bad = bad.replace("[train]\n", f"[train]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(write(tmp_path, bad))
+
+
 class TestResolvedRoundtrip:
     def test_write_then_reload_equal(self, tmp_path):
-        run = load_run_config(write(tmp_path, FULL))
+        run = load_run_config(write(tmp_path, EVERY_KEY))
+        assert run.model.replaced_layers == (1,)
+        for section, cls in SECTIONS.items():
+            obj = getattr(run, section)
+            for f in dataclasses.fields(cls):
+                if f.name in schema_keys(section) and f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) != f.default, f"[{section}] {f.name} left at default"
         out = tmp_path / "resolved_config.ini"
         write_resolved_config(out, run)
+        written = configparser.ConfigParser()
+        written.read(out)
+        assert written.sections() == list(SECTIONS)
+        for section in SECTIONS:
+            assert list(written[section]) == schema_keys(section)
         again = load_run_config(out)
         assert again.model == run.model
         assert again.task == run.task
         assert again.train == run.train
+        assert again.bench == run.bench
+
+
+def test_readme_example_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    example = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    example.read_string(block)
+    assert example.sections() == list(SECTIONS)
+    for section in SECTIONS:
+        assert sorted(example[section]) == sorted(schema_keys(section)), section
+    load_run_config(write(tmp_path, block))  # and every value in it is valid

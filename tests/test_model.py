@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -56,7 +57,7 @@ class TestSpecValidation:
 
     def test_roundtrip_dict(self):
         spec = small_spec(variant="mb", replaced_layers=(1,))
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec(**json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestAttention:

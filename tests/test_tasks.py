@@ -23,7 +23,7 @@ class TestTaskSpec:
 
     def test_roundtrip(self):
         spec = TaskSpec(task="char_lm", seq_len=16, seed=3)
-        assert TaskSpec.from_dict(spec.to_dict()) == spec
+        assert TaskSpec(**spec.to_dict()) == spec
 
 
 class TestSyntheticCluster:
