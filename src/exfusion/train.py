@@ -56,7 +56,7 @@ class TrainConfig:
             raise ValueError(
                 f"warmup_steps must be in [0, steps={self.steps}]; got {self.warmup_steps}"
             )
-        for name in ("base_lr", "min_lr", "eps", "weight_decay"):
+        for name in ("base_lr", "min_lr", "eps", "weight_decay", "grad_clip"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
         if self.base_lr <= 0 or self.min_lr < 0 or self.min_lr > self.base_lr:

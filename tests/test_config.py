@@ -171,6 +171,7 @@ class TestLoad:
     @pytest.mark.parametrize("key, value", [
         ("beta1", "1.5"), ("beta1", "-0.1"), ("beta2", "1.0"), ("eps", "0"), ("eps", "inf"),
         ("weight_decay", "-5"), ("weight_decay", "nan"), ("base_lr", "nan"), ("min_lr", "nan"),
+        ("grad_clip", "nan"),
     ])
     def test_invalid_optimizer_setting_names_key(self, tmp_path, key, value):
         bad = re.sub(rf"^{key} = .*\n", "", FULL, flags=re.M)
