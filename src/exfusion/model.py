@@ -276,11 +276,19 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy ``arrays`` into this model's existing parameters and buffers."""
-        for name, t in self.named_parameters():
-            t.data = checked_array(arrays, name, t.shape).astype(t.data.dtype)
-        for name, buf in self.named_buffers():
-            buf[...] = checked_array(arrays, name, buf.shape)
+        """Copy ``arrays`` into this model's existing parameters and buffers.
+
+        Every record is checked before any is taken, so a missing or
+        wrong-shaped one leaves the model as it was. Parameters are rebound
+        to copies, never written in place: a recorded graph keeps its
+        weights, and no caller array is adopted.
+        """
+        params = [(t, checked_array(arrays, name, t.shape)) for name, t in self.named_parameters()]
+        buffers = [(buf, checked_array(arrays, name, buf.shape)) for name, buf in self.named_buffers()]
+        for t, arr in params:
+            t.data = arr.astype(t.data.dtype)
+        for buf, arr in buffers:
+            buf[...] = arr
 
     def bank_state(self) -> dict[str, np.ndarray]:
         return {name: buf.copy() for name, buf in self.named_buffers()}

@@ -8,7 +8,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import checked_array
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError, ShapeError, Tensor
+
+
+# Elements per block of AdamW's pass over its flat moments: a block's
+# gathered gradients, scratch, new parameters and moments stay in L2.
+BLOCK = 1 << 14
+
+
+class _Arena:
+    """The flat moments of one dtype, the parameters they belong to, and the
+    two block-sized scratch arrays (gathered gradients, later the update;
+    one temporary) its blocks run in."""
+
+    def __init__(self, dtype: np.dtype):
+        self.dtype = dtype
+        self.size = 0
+        self.members: list[int] = []  # indices into AdamW.params, in order
+
+    def allocate(self) -> None:
+        self.m = np.zeros(self.size, dtype=self.dtype)
+        self.v = np.zeros(self.size, dtype=self.dtype)
+        width = min(BLOCK, self.size)
+        self.grad = np.empty(width, dtype=self.dtype)
+        self.tmp = np.empty(width, dtype=self.dtype)
 
 
 class AdamW:
@@ -19,6 +42,18 @@ class AdamW:
     Memory banks never appear here: they are buffers, not parameters.
     Names listed in ``no_decay`` update without the decay term; by default
     those are ``no_decay_names(named_params)``, the learnable fusion weights.
+    The settings are fixed at construction.
+
+    m and v live in one flat array per dtype, in parameter order; ``self.m``
+    and ``self.v`` hold each name's reshaped view. ``step`` walks the
+    parameters that have a gradient in blocks of at most ``BLOCK`` elements
+    (a block never mixes decay and no-decay parameters): it gathers a
+    block's gradients and parameters with one ``np.concatenate`` each and
+    runs the per-element update with ``out=`` ufuncs, in the order and dtype
+    of the per-parameter formula. New parameters go into one fresh flat
+    array per dtype and step, and each ``data`` is rebound to its view:
+    nothing is updated in place, so a graph recorded before a step still
+    holds the old weights.
     """
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
@@ -27,47 +62,147 @@ class AdamW:
         self.params: list[tuple[str, Tensor]] = [
             (name, t) for name, t in named_params if t.requires_grad
         ]
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self.no_decay = frozenset(no_decay_names(self.params) if no_decay is None else no_decay)
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in self.params}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.params}
+        self._arenas: dict[np.dtype, _Arena] = {}
+        self._slots = []  # per parameter: (arena, offset, end, shape, decays)
+        for i, (name, t) in enumerate(self.params):
+            if t.data.dtype not in self._arenas:
+                self._arenas[t.data.dtype] = _Arena(t.data.dtype)
+            arena = self._arenas[t.data.dtype]
+            arena.members.append(i)
+            self._slots.append((arena, arena.size, arena.size + t.data.size, t.data.shape,
+                                bool(self.weight_decay) and name not in self.no_decay))
+            arena.size += t.data.size
+        for arena in self._arenas.values():
+            arena.allocate()
+        self.m = {name: arena.m[off:end].reshape(shape)
+                  for (name, _), (arena, off, end, shape, _) in zip(self.params, self._slots)}
+        self.v = {name: arena.v[off:end].reshape(shape)
+                  for (name, _), (arena, off, end, shape, _) in zip(self.params, self._slots)}
+        self._layout_key: tuple[bool, ...] | None = None
+        self._layout: list = []
+
+    def _grads(self) -> list[np.ndarray | None]:
+        """Each parameter's gradient, refused unless it has the shape and
+        dtype of the parameter (and of the arena slot built for it)."""
+        grads = []
+        for (name, t), (arena, _, _, shape, _) in zip(self.params, self._slots):
+            g = t.grad
+            if g is not None and not (g.shape == t.data.shape == shape
+                                      and g.dtype == t.data.dtype == arena.dtype):
+                raise ShapeError(
+                    f"parameter {name!r}: gradient {g.dtype}{g.shape} does not match "
+                    f"data {t.data.dtype}{t.data.shape} (optimizer built for "
+                    f"{arena.dtype}{shape})"
+                )
+            grads.append(g)
+        return grads
+
+    def _blocks(self, grads) -> list:
+        """Per arena: its blocks over the parameters that have a gradient,
+        and the (tensor, offset, end, shape) of each of those parameters.
+
+        One sweep over the parameters. A block is an arena range
+        ``[lo, hi)`` of at most ``BLOCK`` elements with one decay setting
+        and no gradient-less parameter inside; its ``pieces`` name the
+        parameter each run of the range comes from and the part of it
+        (``None`` for all of it). Cached for the last set of present
+        gradients.
+        """
+        key = tuple(g is not None for g in grads)
+        if key == self._layout_key:
+            return self._layout
+        self._layout = []
+        for arena in self._arenas.values():
+            blocks, rebind = [], []
+            for i in arena.members:
+                if not key[i]:
+                    continue
+                _, off, end, shape, decays = self._slots[i]
+                rebind.append((self.params[i][1], off, end, shape))
+                if not blocks or blocks[-1][1] != off or blocks[-1][2] != decays:
+                    blocks.append([off, off, decays, []])
+                a = 0
+                while a < end - off:
+                    block = blocks[-1]
+                    if block[1] - block[0] == BLOCK:
+                        block = [block[1], block[1], decays, []]
+                        blocks.append(block)
+                    b = min(end - off, a + BLOCK - (block[1] - block[0]))
+                    block[3].append((i, None if b - a == end - off else slice(a, b)))
+                    block[1] += b - a
+                    a = b
+            self._layout.append((arena, [
+                (lo, hi, decays, pieces, arena.m[lo:hi], arena.v[lo:hi],
+                 arena.grad[:hi - lo], arena.tmp[:hi - lo])
+                for lo, hi, decays, pieces in blocks if pieces
+            ], rebind))
+        self._layout_key = key
+        return self._layout
+
+    @staticmethod
+    def _gather(arrays, pieces, out: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [arrays[i] if part is None else arrays[i].reshape(-1)[part] for i, part in pieces],
+            axis=None, out=out)
+
+    def _finite(self, grads, layout) -> bool:
+        return all(np.isfinite(self._gather(grads, block[3], block[6])).all()
+                   for _, blocks, _ in layout for block in blocks)
 
     def grads_finite(self) -> bool:
-        return all(
-            t.grad is None or np.isfinite(t.grad).all() for _, t in self.params
-        )
+        """True when every present gradient is finite, checked block by block."""
+        grads = self._grads()
+        return self._finite(grads, self._blocks(grads))
 
     def step(self, lr: float) -> bool:
         """Apply one update at learning rate ``lr``.
 
         Returns False (and mutates nothing, moments included) when any
-        gradient is non-finite, so the caller can report and skip.
+        gradient is non-finite, so the caller can report and skip. A
+        gradient whose shape or dtype is not its parameter's is a
+        ``ShapeError`` naming the parameter, raised before anything changes.
         """
         lr = float(lr)
-        if not self.grads_finite():
+        grads = self._grads()
+        layout = self._blocks(grads)
+        if not self._finite(grads, layout):
             return False
+        datas = [t.data for _, t in self.params]
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay and name not in self.no_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - lr * update
+        b1, b2, eps, wd = self.beta1, self.beta2, self.eps, self.weight_decay
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for arena, blocks, rebind in layout:
+            new = np.empty(arena.size, dtype=arena.dtype)
+            for lo, hi, decays, pieces, m, v, g, tmp in blocks:
+                self._gather(grads, pieces, g)
+                p = self._gather(datas, pieces, new[lo:hi])
+                np.multiply(m, b1, out=m)            # m = b1*m + (1-b1)*g
+                np.multiply(g, 1.0 - b1, out=tmp)
+                np.add(m, tmp, out=m)
+                np.multiply(v, b2, out=v)            # v = b2*v + (1-b2)*(g*g)
+                np.multiply(g, g, out=tmp)
+                np.multiply(tmp, 1.0 - b2, out=tmp)
+                np.add(v, tmp, out=v)
+                np.divide(v, bc2, out=tmp)           # update = (m/bc1) / (sqrt(v/bc2) + eps)
+                np.sqrt(tmp, out=tmp)
+                np.add(tmp, eps, out=tmp)
+                np.divide(m, bc1, out=g)
+                np.divide(g, tmp, out=g)
+                if decays:                           # update += wd*p
+                    np.multiply(p, wd, out=tmp)
+                    np.add(g, tmp, out=g)
+                np.multiply(g, lr, out=g)            # p = p - lr*update
+                np.subtract(p, g, out=p)
+            for param, off, end, shape in rebind:
+                param.data = new[off:end].reshape(shape)
         return True
 
     # -- checkpoint support ----------------------------------------------------
@@ -79,22 +214,22 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Adopt saved moments and step count. A missing, wrong-shaped or
-        non-finite record is refused before any state changes."""
-        moments = []
+        """Copy saved moments into the arena and adopt the step count. A
+        missing, wrong-shaped or non-finite record is refused before any
+        state changes."""
+        checked = []
         for prefix, store in (("opt/m/", self.m), ("opt/v/", self.v)):
-            moment = {}
             for name, current in store.items():
                 key = prefix + name
                 arr = checked_array(arrays, key, current.shape)
                 if not np.isfinite(arr).all():
                     raise NonFiniteError(f"array {key!r} has non-finite values")
-                moment[name] = arr.astype(current.dtype, copy=True)
-            moments.append(moment)
+                checked.append((current, arr))
         step = checked_array(arrays, "opt/step", (1,))
         if step.dtype.kind not in "iu" or step[0] < 0:
             raise ValueError(f"array 'opt/step' must hold a non-negative integer; got {step[0]!r}")
-        self.m, self.v = moments
+        for current, arr in checked:
+            current[...] = arr
         self.step_count = int(step[0])
 
 

@@ -9,6 +9,7 @@ split into disjoint train/validation regions.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,8 @@ class TaskSpec:
             raise ValueError(f"num_classes must be >= 2; got {self.num_classes}")
         if self.train_size < 1 or self.val_size < 1:
             raise ValueError("train_size and val_size must be >= 1")
-        if self.noise <= 0:
-            raise ValueError(f"noise must be > 0; got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise ValueError(f"noise must be finite and > 0; got {self.noise}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1); got {self.val_fraction}")
 

@@ -11,7 +11,8 @@ library's smaller primitives, so the fused ops can be held byte-equal to
 them, forward and backward. ``layernorm_reference`` is the layernorm
 forward and vjp as separate numpy temporaries, in the primitive's order.
 ``topk_moe_loop`` is the per-expert slice loop that the sorted dispatch of
-``moe.topk_moe_forward`` replaced.
+``moe.topk_moe_forward`` replaced, and ``adamw_reference`` the
+per-parameter AdamW loop that the blocked pass of ``optim.AdamW`` replaced.
 """
 
 import math
@@ -177,3 +178,35 @@ def topk_moe_loop(x, up, down, router, k):
         contrib = scatter_rows(yi, token_idx, t, unique=True)
         out = contrib if out is None else add(out, contrib)
     return reshape(out, (b, l, d))
+
+
+def adamw_reference(params, m, v, step_count, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                    weight_decay=0.0, no_decay=frozenset()):
+    """One AdamW step as a loop over the parameters, each with its own temporaries.
+
+    ``m`` and ``v`` map names to arrays and are updated in place; each
+    parameter's ``data`` is rebound. A non-finite gradient skips the whole
+    step. Returns the new step count.
+    """
+    lr = float(lr)
+    if not all(t.grad is None or np.isfinite(t.grad).all() for _, t in params):
+        return step_count
+    step_count += 1
+    t = step_count
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params:
+        g = p.grad
+        if g is None:
+            continue
+        m_ = m[name]
+        v_ = v[name]
+        m_ *= beta1
+        m_ += (1.0 - beta1) * g
+        v_ *= beta2
+        v_ += (1.0 - beta2) * (g * g)
+        update = (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
+        if weight_decay and name not in no_decay:
+            update = update + weight_decay * p.data
+        p.data = p.data - lr * update
+    return step_count

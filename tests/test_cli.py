@@ -98,6 +98,16 @@ class TestTrainCommand:
         assert "beta1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_nonfinite_task_noise_fails_before_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("[task]\n", "[task]\nnoise = nan\n"))
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--deterministic"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "noise" in err and "validation split" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_nonempty_out_dir_requires_force(self, tmp_path, capsys):
         code, out = train(tmp_path)
         assert code == 0

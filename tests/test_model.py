@@ -393,13 +393,21 @@ class TestBankState:
     def test_wrong_bank_shape_rejected(self):
         model = self._mb()
         name, buf = model.named_buffers()[0]
-        arrays = {k: v.copy() for k, v in model.state_arrays().items()}
+        params = {n: t.data for n, t in model.named_parameters()}
+        arrays = {k: v + 1 for k, v in model.state_arrays().items()}
         arrays[name] = np.zeros(buf.size + 1, dtype=buf.dtype)
         with pytest.raises(ShapeError, match="bank"):
             model.load_state_arrays(arrays)
         with pytest.raises(ShapeError, match="bank"):
             model.set_bank_state({name: np.zeros((1, buf.size), dtype=buf.dtype)})
         assert not buf.any()  # neither call wrote into the bank
+        arrays[name] = np.ones_like(buf)  # now the last parameter is the bad record
+        arrays["head.bias"] = np.zeros(model.head.bias.shape[0] + 1, dtype=buf.dtype)
+        with pytest.raises(ShapeError, match="head.bias"):
+            model.load_state_arrays(arrays)
+        assert not buf.any()
+        for n, t in model.named_parameters():  # no parameter was taken either
+            assert t.data is params[n], n
 
     def test_eval_tape_keeps_its_bank_across_a_training_step(self):
         tokens, labels = rand_tokens(small_spec()), np.arange(3) % 4

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from exfusion import optim
+from exfusion.model import Model, ModelSpec
 from exfusion.optim import AdamW, CosineSchedule, clip_grad_norm
-from exfusion.tensor import Tensor
+from exfusion.tensor import ShapeError, Tensor, cross_entropy
+
+from oracles import adamw_reference
 
 
 def param(val, grad=None, dtype=np.float64):
@@ -52,9 +56,11 @@ class TestAdamW:
     def test_missing_grad_param_untouched(self):
         p = param([3.0])  # no grad at all
         q = param([1.0], grad=[1.0])
+        before = p.data
         opt = AdamW([("p", p), ("q", q)], weight_decay=0.5)
         opt.step(0.1)
         assert p.data[0] == 3.0 and q.data[0] != 1.0
+        assert p.data is before and not opt.m["p"].any()  # not rebound, moments unmoved
 
     def test_non_grad_params_excluded(self):
         frozen = Tensor(np.ones(2), requires_grad=False)
@@ -114,6 +120,106 @@ class TestAdamW:
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
         np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
+
+    def test_loaded_moments_are_copied(self):
+        p = param([1.0, 2.0], grad=[0.3, -0.2])
+        opt = AdamW([("p", p)])
+        opt.step(0.01)
+        arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
+        opt2 = AdamW([("p", p)])
+        opt2.load_state_arrays(arrays)
+        arrays["opt/m/p"][...] = 9.0
+        np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
+
+    @pytest.mark.parametrize("grad", [np.zeros(2), np.float64(0.5), np.zeros(3, np.float32)],
+                             ids=["shape", "0-d", "dtype"])
+    def test_mismatched_gradient_refused_before_any_change(self, grad):
+        p = param([1.0, -1.0], grad=[0.5, 0.5])
+        q = param([2.0, 3.0, 4.0])
+        q.grad = np.asarray(grad)
+        opt = AdamW([("p", p), ("q", q)], weight_decay=0.1)
+        before = p.data
+        with pytest.raises(ShapeError, match="'q'"):
+            opt.step(0.1)
+        assert p.data is before and opt.step_count == 0
+        assert not opt.m["p"].any() and not opt.v["p"].any()
+
+
+def _named(rng, dtypes):
+    """Parameters of sizes 12, 3, 5, 12, 1, 20 and 4, so that blocks of 7
+    split several of them, with decay and no-decay names interleaved and
+    the dtypes taken in turn."""
+    shapes = {"a.weight": (3, 4), "b.fusion.weights": (3,), "c.bias": (5,),
+              "d.weight": (2, 3, 2), "e.fusion.weights": (1,), "f.weight": (20,),
+              "g.weight": (4, 1)}
+    return [(name, shape, dtypes[i % len(dtypes)], rng.normal(size=shape))
+            for i, (name, shape) in enumerate(shapes.items())]
+
+
+class TestBlockedStep:
+    @pytest.mark.parametrize("dtypes", [(np.float32,), (np.float64,), (np.float32, np.float64)],
+                             ids=["f32", "f64", "mixed"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_bytes_equal_the_per_parameter_loop(self, monkeypatch, dtypes, weight_decay):
+        monkeypatch.setattr(optim, "BLOCK", 7)
+        rng = np.random.default_rng(3)
+        spec = _named(rng, dtypes)
+        blocked = [(name, param(init, dtype=dt)) for name, _, dt, init in spec]
+        ref = [(name, param(init, dtype=dt)) for name, _, dt, init in spec]
+        opt = AdamW(blocked, weight_decay=weight_decay)
+        m = {name: np.zeros_like(t.data) for name, t in ref}
+        v = {name: np.zeros_like(t.data) for name, t in ref}
+        count = 0
+        for step in range(1, 21):
+            lr = 0.01 * step
+            for (name, shape, dt, _), (_, a), (_, b) in zip(spec, blocked, ref):
+                g = rng.normal(size=shape).astype(dt)
+                if step == 10 and name == "d.weight":
+                    g.flat[1] = np.inf
+                if step in (3, 4, 9) and name == "c.bias" or step == 12 and name == "a.weight":
+                    g = None
+                a.grad = b.grad = g
+            applied = opt.step(lr)
+            new_count = adamw_reference(ref, m, v, count, lr, weight_decay=weight_decay,
+                                        no_decay=opt.no_decay)
+            assert applied == (new_count != count) == (step != 10), step
+            count = new_count
+            assert opt.step_count == count
+            for (name, a), (_, b) in zip(blocked, ref):
+                assert a.data.dtype == b.data.dtype and a.data.shape == b.data.shape
+                assert a.data.tobytes() == b.data.tobytes(), (step, name)
+                assert opt.m[name].tobytes() == m[name].tobytes(), (step, name)
+                assert opt.v[name].tobytes() == v[name].tobytes(), (step, name)
+        assert list(opt.state_arrays()) == (
+            [f"opt/m/{name}" for name, _ in blocked] + [f"opt/v/{name}" for name, _ in blocked]
+            + ["opt/step"])
+
+    def test_recorded_graph_keeps_its_weights_across_steps(self):
+        # AdamW built before the eval forward: a step that wrote parameters in
+        # place would change the weights the eval graph differentiates against
+        spec = ModelSpec(depth=2, dim=16, heads=4, expansion=2, vocab_size=11, num_classes=4,
+                         max_seq_len=8, variant="mb", seed=5)
+        tokens = np.random.default_rng(0).integers(0, 11, size=(3, 6))
+        labels = np.arange(3) % 4
+
+        def eval_grads(steps: int) -> dict:
+            model = Model(spec, dtype="f64")
+            opt = AdamW(model.named_parameters(), weight_decay=0.05)
+            eval_loss = cross_entropy(model.forward(tokens, training=False), labels)
+            for seed in range(1, steps + 1):
+                model.zero_grad()
+                batch = np.random.default_rng(seed).integers(0, 11, size=(3, 6))
+                cross_entropy(model.forward(batch, training=True), labels).backward()
+                assert opt.step(1e-2)
+            model.zero_grad()
+            eval_loss.backward()
+            return {name: t.grad.copy() for name, t in model.named_parameters()
+                    if t.grad is not None}
+
+        plain, stepped = eval_grads(0), eval_grads(2)
+        assert plain.keys() == stepped.keys() and plain
+        for name, g in plain.items():
+            assert g.tobytes() == stepped[name].tobytes(), name
 
 
 class TestClip:

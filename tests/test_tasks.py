@@ -18,6 +18,9 @@ class TestTaskSpec:
             TaskSpec(task="mystery")
         with pytest.raises(ValueError, match="noise"):
             TaskSpec(noise=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise must be finite"):
+                TaskSpec(noise=bad)
         with pytest.raises(ValueError, match="val_fraction"):
             TaskSpec(val_fraction=1.0)
 
