@@ -10,6 +10,6 @@ python3 -m exfusion._entry verify all --deterministic
 
 if [ "${1:-}" = "--bench" ]; then
     shift
-    python3 -m exfusion._entry bench "$@"
+    python3 -m exfusion._entry bench --deterministic "$@"
 fi
 echo "ci: all checks green"

@@ -199,6 +199,13 @@ def _dtype_name(meta: dict, key: str) -> str:
     return name
 
 
+def _json_object(meta: dict, key: str) -> dict:
+    value = meta_json(meta, key)
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_model_checkpoint(path) -> LoadedModel:
     """Rebuild the saved model from its records, adopting them as its arrays.
 
@@ -207,7 +214,9 @@ def load_model_checkpoint(path) -> LoadedModel:
     use) is a ``CheckpointError`` naming the file and the record. Besides
     the model's parameters and buffers, only the optimizer moments of its
     trainable parameters (``opt/m/<name>``, ``opt/v/<name>``) and
-    ``opt/step`` may be present.
+    ``opt/step`` may be present. Every record but ``opt/step`` must have
+    the dtype ``meta/dtype`` names, and ``meta/task_spec`` and
+    ``meta/train_config``, where present, must be JSON objects.
     """
     from .model import Model, ModelSpec
 
@@ -218,6 +227,15 @@ def load_model_checkpoint(path) -> LoadedModel:
     step = _meta_field(path, meta, "step", meta_int)
     if step < 0:
         raise CheckpointError(f"{path}: record 'meta/step' must be non-negative; got {step}")
+    for key in ("task_spec", "train_config"):
+        if key in meta:
+            _meta_field(path, meta, key, _json_object)
+    want = as_np_dtype(dtype)
+    foreign = next((name for name, arr in tensors.items()
+                    if name != "opt/step" and arr.dtype != want), None)
+    if foreign is not None:
+        raise CheckpointError(f"{path}: record {foreign!r} is {tensors[foreign].dtype}, "
+                              f"but 'meta/dtype' is {dtype}")
     opt_arrays = {k: v for k, v in tensors.items() if k.startswith("opt/")}
     state = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
     try:

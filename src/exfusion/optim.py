@@ -16,44 +16,27 @@ from .tensor import NonFiniteError, ShapeError, Tensor
 BLOCK = 1 << 14
 
 
-class _Arena:
-    """The flat moments of one dtype, the parameters they belong to, and the
-    two block-sized scratch arrays (gathered gradients, later the update;
-    one temporary) its blocks run in."""
-
-    def __init__(self, dtype: np.dtype):
-        self.dtype = dtype
-        self.size = 0
-        self.members: list[int] = []  # indices into AdamW.params, in order
-
-    def allocate(self) -> None:
-        self.m = np.zeros(self.size, dtype=self.dtype)
-        self.v = np.zeros(self.size, dtype=self.dtype)
-        width = min(BLOCK, self.size)
-        self.grad = np.empty(width, dtype=self.dtype)
-        self.tmp = np.empty(width, dtype=self.dtype)
-
-
 class AdamW:
-    """Decoupled-decay Adam over named parameters.
+    """Decoupled-decay Adam over named parameters of one dtype.
 
     Only tensors with ``requires_grad`` participate; parameters whose grad
     is ``None`` at step time are skipped entirely (no decay either).
     Memory banks never appear here: they are buffers, not parameters.
     Names listed in ``no_decay`` update without the decay term; by default
     those are ``no_decay_names(named_params)``, the learnable fusion weights.
-    The settings are fixed at construction.
+    The settings are fixed at construction. A parameter list that mixes
+    dtypes is a ``TypeError`` naming the first parameter that differs.
 
-    m and v live in one flat array per dtype, in parameter order; ``self.m``
+    m and v live in one flat array each, in parameter order; ``self.m``
     and ``self.v`` hold each name's reshaped view. ``step`` walks the
     parameters that have a gradient in blocks of at most ``BLOCK`` elements
     (a block never mixes decay and no-decay parameters): it gathers a
     block's gradients and parameters with one ``np.concatenate`` each and
     runs the per-element update with ``out=`` ufuncs, in the order and dtype
     of the per-parameter formula. New parameters go into one fresh flat
-    array per dtype and step, and each ``data`` is rebound to its view:
-    nothing is updated in place, so a graph recorded before a step still
-    holds the old weights.
+    array per step, and each ``data`` is rebound to its view: nothing is
+    updated in place, so a graph recorded before a step still holds the old
+    weights.
     """
 
     def __init__(self, named_params, beta1: float = 0.9, beta2: float = 0.999,
@@ -68,80 +51,77 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.no_decay = frozenset(no_decay_names(self.params) if no_decay is None else no_decay)
         self.step_count = 0
-        self._arenas: dict[np.dtype, _Arena] = {}
-        self._slots = []  # per parameter: (arena, offset, end, shape, decays)
-        for i, (name, t) in enumerate(self.params):
-            if t.data.dtype not in self._arenas:
-                self._arenas[t.data.dtype] = _Arena(t.data.dtype)
-            arena = self._arenas[t.data.dtype]
-            arena.members.append(i)
-            self._slots.append((arena, arena.size, arena.size + t.data.size, t.data.shape,
+        dtype = self.params[0][1].data.dtype if self.params else np.float64
+        self._slots = []  # per parameter: (offset, end, shape, decays)
+        size = 0
+        for name, t in self.params:
+            if t.data.dtype != dtype:
+                raise TypeError(f"parameter {name!r} is {t.data.dtype}, but "
+                                f"{self.params[0][0]!r} is {dtype}: AdamW takes one dtype")
+            self._slots.append((size, size + t.data.size, t.data.shape,
                                 bool(self.weight_decay) and name not in self.no_decay))
-            arena.size += t.data.size
-        for arena in self._arenas.values():
-            arena.allocate()
-        self.m = {name: arena.m[off:end].reshape(shape)
-                  for (name, _), (arena, off, end, shape, _) in zip(self.params, self._slots)}
-        self.v = {name: arena.v[off:end].reshape(shape)
-                  for (name, _), (arena, off, end, shape, _) in zip(self.params, self._slots)}
+            size += t.data.size
+        self._m = np.zeros(size, dtype=dtype)
+        self._v = np.zeros(size, dtype=dtype)
+        # block scratch: gathered gradients (later the update), one temporary
+        self._grad = np.empty(min(BLOCK, size), dtype=dtype)
+        self._tmp = np.empty(min(BLOCK, size), dtype=dtype)
+        self.m = {name: self._m[off:end].reshape(shape)
+                  for (name, _), (off, end, shape, _) in zip(self.params, self._slots)}
+        self.v = {name: self._v[off:end].reshape(shape)
+                  for (name, _), (off, end, shape, _) in zip(self.params, self._slots)}
         self._layout_key: tuple[bool, ...] | None = None
-        self._layout: list = []
+        self._layout: tuple[list, list] = ([], [])
 
     def _grads(self) -> list[np.ndarray | None]:
         """Each parameter's gradient, refused unless it has the shape and
-        dtype of the parameter (and of the arena slot built for it)."""
+        dtype of the parameter (and of the slot built for it)."""
         grads = []
-        for (name, t), (arena, _, _, shape, _) in zip(self.params, self._slots):
+        for (name, t), (_, _, shape, _) in zip(self.params, self._slots):
             g = t.grad
             if g is not None and not (g.shape == t.data.shape == shape
-                                      and g.dtype == t.data.dtype == arena.dtype):
+                                      and g.dtype == t.data.dtype == self._m.dtype):
                 raise ShapeError(
                     f"parameter {name!r}: gradient {g.dtype}{g.shape} does not match "
                     f"data {t.data.dtype}{t.data.shape} (optimizer built for "
-                    f"{arena.dtype}{shape})"
+                    f"{self._m.dtype}{shape})"
                 )
             grads.append(g)
         return grads
 
-    def _blocks(self, grads) -> list:
-        """Per arena: its blocks over the parameters that have a gradient,
-        and the (tensor, offset, end, shape) of each of those parameters.
+    def _blocks(self, grads) -> tuple[list, list]:
+        """The blocks over the parameters that have a gradient, and the
+        (tensor, offset, end, shape) of each of those parameters.
 
-        One sweep over the parameters. A block is an arena range
-        ``[lo, hi)`` of at most ``BLOCK`` elements with one decay setting
-        and no gradient-less parameter inside; its ``pieces`` name the
-        parameter each run of the range comes from and the part of it
-        (``None`` for all of it). Cached for the last set of present
-        gradients.
+        One sweep over the parameters. A block is a flat range ``[lo, hi)``
+        of at most ``BLOCK`` elements with one decay setting and no
+        gradient-less parameter inside; its ``pieces`` name the parameter
+        each run of the range comes from and the part of it (``None`` for
+        all of it). Cached for the last set of present gradients.
         """
         key = tuple(g is not None for g in grads)
         if key == self._layout_key:
             return self._layout
-        self._layout = []
-        for arena in self._arenas.values():
-            blocks, rebind = [], []
-            for i in arena.members:
-                if not key[i]:
-                    continue
-                _, off, end, shape, decays = self._slots[i]
-                rebind.append((self.params[i][1], off, end, shape))
-                if not blocks or blocks[-1][1] != off or blocks[-1][2] != decays:
-                    blocks.append([off, off, decays, []])
-                a = 0
-                while a < end - off:
-                    block = blocks[-1]
-                    if block[1] - block[0] == BLOCK:
-                        block = [block[1], block[1], decays, []]
-                        blocks.append(block)
-                    b = min(end - off, a + BLOCK - (block[1] - block[0]))
-                    block[3].append((i, None if b - a == end - off else slice(a, b)))
-                    block[1] += b - a
-                    a = b
-            self._layout.append((arena, [
-                (lo, hi, decays, pieces, arena.m[lo:hi], arena.v[lo:hi],
-                 arena.grad[:hi - lo], arena.tmp[:hi - lo])
-                for lo, hi, decays, pieces in blocks if pieces
-            ], rebind))
+        blocks, rebind = [], []
+        for i, ((_, t), (off, end, shape, decays)) in enumerate(zip(self.params, self._slots)):
+            if not key[i]:
+                continue
+            rebind.append((t, off, end, shape))
+            if not blocks or blocks[-1][1] != off or blocks[-1][2] != decays:
+                blocks.append([off, off, decays, []])
+            a = 0
+            while a < end - off:
+                block = blocks[-1]
+                if block[1] - block[0] == BLOCK:
+                    block = [block[1], block[1], decays, []]
+                    blocks.append(block)
+                b = min(end - off, a + BLOCK - (block[1] - block[0]))
+                block[3].append((i, None if b - a == end - off else slice(a, b)))
+                block[1] += b - a
+                a = b
+        self._layout = ([(lo, hi, decays, pieces, self._m[lo:hi], self._v[lo:hi],
+                          self._grad[:hi - lo], self._tmp[:hi - lo])
+                         for lo, hi, decays, pieces in blocks if pieces], rebind)
         self._layout_key = key
         return self._layout
 
@@ -150,15 +130,6 @@ class AdamW:
         return np.concatenate(
             [arrays[i] if part is None else arrays[i].reshape(-1)[part] for i, part in pieces],
             axis=None, out=out)
-
-    def _finite(self, grads, layout) -> bool:
-        return all(np.isfinite(self._gather(grads, block[3], block[6])).all()
-                   for _, blocks, _ in layout for block in blocks)
-
-    def grads_finite(self) -> bool:
-        """True when every present gradient is finite, checked block by block."""
-        grads = self._grads()
-        return self._finite(grads, self._blocks(grads))
 
     def step(self, lr: float) -> bool:
         """Apply one update at learning rate ``lr``.
@@ -170,8 +141,9 @@ class AdamW:
         """
         lr = float(lr)
         grads = self._grads()
-        layout = self._blocks(grads)
-        if not self._finite(grads, layout):
+        blocks, rebind = self._blocks(grads)
+        if not all(np.isfinite(self._gather(grads, block[3], block[6])).all()
+                   for block in blocks):
             return False
         datas = [t.data for _, t in self.params]
         self.step_count += 1
@@ -179,30 +151,29 @@ class AdamW:
         b1, b2, eps, wd = self.beta1, self.beta2, self.eps, self.weight_decay
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        for arena, blocks, rebind in layout:
-            new = np.empty(arena.size, dtype=arena.dtype)
-            for lo, hi, decays, pieces, m, v, g, tmp in blocks:
-                self._gather(grads, pieces, g)
-                p = self._gather(datas, pieces, new[lo:hi])
-                np.multiply(m, b1, out=m)            # m = b1*m + (1-b1)*g
-                np.multiply(g, 1.0 - b1, out=tmp)
-                np.add(m, tmp, out=m)
-                np.multiply(v, b2, out=v)            # v = b2*v + (1-b2)*(g*g)
-                np.multiply(g, g, out=tmp)
-                np.multiply(tmp, 1.0 - b2, out=tmp)
-                np.add(v, tmp, out=v)
-                np.divide(v, bc2, out=tmp)           # update = (m/bc1) / (sqrt(v/bc2) + eps)
-                np.sqrt(tmp, out=tmp)
-                np.add(tmp, eps, out=tmp)
-                np.divide(m, bc1, out=g)
-                np.divide(g, tmp, out=g)
-                if decays:                           # update += wd*p
-                    np.multiply(p, wd, out=tmp)
-                    np.add(g, tmp, out=g)
-                np.multiply(g, lr, out=g)            # p = p - lr*update
-                np.subtract(p, g, out=p)
-            for param, off, end, shape in rebind:
-                param.data = new[off:end].reshape(shape)
+        new = np.empty_like(self._m)
+        for lo, hi, decays, pieces, m, v, g, tmp in blocks:
+            self._gather(grads, pieces, g)
+            p = self._gather(datas, pieces, new[lo:hi])
+            np.multiply(m, b1, out=m)            # m = b1*m + (1-b1)*g
+            np.multiply(g, 1.0 - b1, out=tmp)
+            np.add(m, tmp, out=m)
+            np.multiply(v, b2, out=v)            # v = b2*v + (1-b2)*(g*g)
+            np.multiply(g, g, out=tmp)
+            np.multiply(tmp, 1.0 - b2, out=tmp)
+            np.add(v, tmp, out=v)
+            np.divide(v, bc2, out=tmp)           # update = (m/bc1) / (sqrt(v/bc2) + eps)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, eps, out=tmp)
+            np.divide(m, bc1, out=g)
+            np.divide(g, tmp, out=g)
+            if decays:                           # update += wd*p
+                np.multiply(p, wd, out=tmp)
+                np.add(g, tmp, out=g)
+            np.multiply(g, lr, out=g)            # p = p - lr*update
+            np.subtract(p, g, out=p)
+        for param, off, end, shape in rebind:
+            param.data = new[off:end].reshape(shape)
         return True
 
     # -- checkpoint support ----------------------------------------------------
@@ -214,7 +185,7 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy saved moments into the arena and adopt the step count. A
+        """Copy saved moments into the flat moments and adopt the step count. A
         missing, wrong-shaped or non-finite record is refused before any
         state changes."""
         checked = []

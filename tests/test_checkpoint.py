@@ -307,6 +307,23 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="ckpt.bin.*model_spec"):
             load_model_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype, foreign", [("f32", np.float64), ("f64", np.float32)])
+    @pytest.mark.parametrize("record", ["blocks.0.attn.q.weight", "blocks.1.ffn.fusion.bank",
+                                        "opt/m/head.weight", "opt/v/blocks.0.ffn.up.bias"])
+    def test_foreign_dtype_record_is_checkpoint_error(self, tmp_path, dtype, foreign, record):
+        model = Model(ModelSpec(depth=2, dim=16, heads=2, expansion=2, vocab_size=9,
+                                num_classes=3, max_seq_len=6, variant="mb", num_experts=4),
+                      dtype=dtype)
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, model, optimizer=AdamW(model.named_parameters()))
+        tensors, meta = read_checkpoint(path)
+        assert tensors["opt/step"].dtype == np.int64
+        tensors[record] = tensors[record].astype(foreign)
+        write_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError,
+                           match=f"ckpt.bin: record '{record}' is {np.dtype(foreign)}"):
+            load_model_checkpoint(path)
+
     def test_negative_step_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,

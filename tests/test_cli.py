@@ -259,6 +259,12 @@ def _resize(name):
     return change
 
 
+def _as_f64(name):
+    def change(tensors, meta):
+        tensors[name] = tensors[name].astype(np.float64)
+    return change
+
+
 # (case, edit of the saved records, text the error must show besides the file name)
 CORRUPT_RECORDS = [
     ("missing_param", _drop("head.bias"), "head.bias"),
@@ -267,6 +273,9 @@ CORRUPT_RECORDS = [
     ("missing_step", _drop_meta("step"), "meta/step"),
     ("negative_step", lambda tensors, meta: meta.update(step=-3), "meta/step"),
     ("wrong_shape", _resize("head.bias"), "head.bias"),
+    ("foreign_dtype_param", _as_f64("blocks.0.attn.q.weight"), "blocks.0.attn.q.weight"),
+    ("foreign_dtype_bank", _as_f64("blocks.1.ffn.fusion.bank"), "blocks.1.ffn.fusion.bank"),
+    ("foreign_dtype_moment", _as_f64("opt/m/head.weight"), "opt/m/head.weight"),
     ("invalid_dtype", lambda tensors, meta: meta.update(dtype="f16"), "meta/dtype"),
     ("nonfinite_param", _set("blocks.0.ffn.up.weight", np.nan), "blocks.0.ffn.up.weight"),
     ("nonfinite_bank", _set("blocks.0.ffn.fusion.bank", np.inf), "blocks.0.ffn.fusion.bank"),
@@ -274,6 +283,11 @@ CORRUPT_RECORDS = [
      "blocks.0.ffn.up.weigth"),
     ("unknown_moment", _add_copy("opt/m/blocks.0.ffn.up.weigth", "opt/m/blocks.0.ffn.up.weight"),
      "opt/m/blocks.0.ffn.up.weigth"),
+    ("task_spec_list", lambda tensors, meta: meta.update(task_spec=[1, 2]), "meta/task_spec"),
+    ("task_spec_not_json", lambda tensors, meta: meta.update(task_spec="{not json"),
+     "meta/task_spec"),
+    ("train_config_list", lambda tensors, meta: meta.update(train_config=["steps"]),
+     "meta/train_config"),
 ]
 
 # Faults in the optimizer records, which only a resume reads.
@@ -377,6 +391,21 @@ class TestCorruptRecords:
         err = capsys.readouterr().err
         assert "broken.bin" in err and f"duplicate record '{record}'" in err
         assert not (tmp_path / "x.bin").exists()
+
+
+class TestResumeLoadFaults:
+    @pytest.mark.parametrize("case, change, record", CORRUPT_RECORDS,
+                             ids=[c[0] for c in CORRUPT_RECORDS])
+    def test_load_fault_is_runtime_error(self, tmp_path, capsys, saved_run, case, change,
+                                         record):
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, change)
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out),
+                         "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "broken.bin" in err and record in err
+        assert not out.exists()
 
 
 class TestResumeOptimizerFaults:

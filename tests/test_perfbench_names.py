@@ -2,8 +2,8 @@
 
 ``perfbench/tracer.py`` looks its op primitives up on ``exfusion.tensor`` and
 its layer spans on the module or class that owns them. Deleting one of them
-from exfusion would otherwise fail only ``perfbench/tests``, which this suite
-does not collect.
+from exfusion would otherwise fail only as a ``perfbench/tests`` smoke run;
+this test names the missing attribute directly.
 """
 
 import importlib.util

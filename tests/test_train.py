@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from exfusion.checkpoint import load_model_checkpoint, read_checkpoint, write_checkpoint
+from exfusion.model import Model, collapse_to_dense
+from exfusion.optim import AdamW
 from exfusion.tasks import TaskSpec, build_task
 from exfusion.train import (
     TrainConfig,
@@ -11,6 +13,7 @@ from exfusion.train import (
     evaluate,
     model_spec_for_task,
     train_loop,
+    train_step,
 )
 
 
@@ -158,6 +161,46 @@ class TestTrainLoop:
         for field in fields:
             assert field in str(info.value)
         assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1  # untouched
+
+
+class TestStaticFusionUnderAdamW:
+    """Static fusion with weights 1/N gives every expert the gradient G/N of
+    the fused matrix, so Adam's moments are m_G/N and v_G/N^2 and each expert
+    moves by the dense update taken with eps*N. With eps near zero and no
+    clip, sw trains exactly as the dense model started at the experts' mean.
+
+    The lr is one at which training does not amplify rounding: at 3e-3 on
+    this task a one-ulp nudge of one weight of the dense model alone grows
+    to a 5e-9 loss difference by step 150."""
+
+    def test_sw_trains_as_its_collapsed_dense_model(self):
+        spec, task_spec, _ = tiny_run("sw", model_kw=dict(num_experts=4))
+        task = build_task(task_spec)
+        sw = Model(spec, dtype="f64")
+        dense = collapse_to_dense(sw)
+        runs = [(m, AdamW(m.named_parameters(), eps=1e-300, weight_decay=0.05))
+                for m in (sw, dense)]
+        for step in range(1, 151):
+            xb, yb = task.batch(step, 8)
+            (sw_loss, _), (dense_loss, _) = (train_step(m, opt, xb, yb, 1e-3, 0.0, step)
+                                             for m, opt in runs)
+            assert abs(sw_loss - dense_loss) <= 1e-12 * abs(dense_loss), step
+
+    def test_sw_expert_moments_stay_bitwise_equal(self):
+        spec, task_spec, _ = tiny_run("sw", model_kw=dict(num_experts=4))
+        task = build_task(task_spec)
+        model = Model(spec, dtype="f32")
+        opt = AdamW(model.named_parameters(), weight_decay=0.05)
+        for step in range(1, 101):
+            xb, yb = task.batch(step, 8)
+            train_step(model, opt, xb, yb, 3e-3, 1.0, step)
+        names = [name for name, _ in opt.params
+                 if name.split(".")[-2] in ("up", "down") and ".ffn." in name]
+        assert len(names) == 2 * 2 * spec.depth
+        for name in names:
+            for moment in (opt.m[name], opt.v[name]):
+                assert moment[0].any()
+                assert all(expert.tobytes() == moment[0].tobytes() for expert in moment[1:]), name
 
 
 class TestEvaluate:
