@@ -17,11 +17,16 @@ _THREAD_VARS = (
 )
 
 
+def pin_blas_threads() -> None:
+    """Default every BLAS/OpenMP pool to one thread; values already set stay."""
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, "1")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     if "--deterministic" in args:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, "1")
+        pin_blas_threads()
     from .cli import main as cli_main
 
     return cli_main(args)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .params import name_rng
 
@@ -135,6 +136,9 @@ class CharLMTask:
             raise ValueError("text too short for the requested seq_len/val_fraction")
         self.train_ids = ids[:cut]
         self.val_ids = ids[cut:]
+        # every seq_len window of the training text, as a view; a batch is
+        # two fancy-index copies from it, inputs and the targets one further
+        self._windows = sliding_window_view(self.train_ids, spec.seq_len)
 
     @property
     def vocab_size(self) -> int:
@@ -152,9 +156,7 @@ class CharLMTask:
         l = self.spec.seq_len
         rng = name_rng(self.spec.seed, f"task.batch.{step}")
         starts = rng.integers(0, len(self.train_ids) - l - 1, size=batch_size)
-        x = np.stack([self.train_ids[s:s + l] for s in starts])
-        y = np.stack([self.train_ids[s + 1:s + l + 1] for s in starts])
-        return x, y
+        return self._windows[starts], self._windows[starts + 1]
 
     def val_data(self):
         l = self.spec.seq_len

@@ -27,7 +27,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -247,6 +246,35 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+_ROW_MAX_BLOCK = 1 << 16  # elements per transposed block: it stays in L2
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, fast on many short rows.
+
+    numpy reduces a short contiguous row at a time; down the outer axis of a
+    transposed copy the same max runs as one vectorised elementwise maximum
+    across rows. A max is exact, so only the sign of a zero can differ, where
+    a row holds both +0 and -0 as its max; every caller subtracts the max and
+    takes exp, which maps either zero to 1.
+    """
+    c = x.shape[-1]
+    rows = x.reshape(-1, c)
+    out = np.empty(rows.shape[0], x.dtype)
+    step = max(1, _ROW_MAX_BLOCK // c)
+    for s in range(0, rows.shape[0], step):
+        rows[s:s + step].T.copy().max(axis=0, out=out[s:s + step])
+    return out.reshape(x.shape[:-1] + (1,))
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``: the same sum and divide, without
+    ``np.mean``'s Python-side bookkeeping."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    np.divide(m, x.shape[-1], out=m)
+    return m
+
+
 def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
     if a.data.dtype != b.data.dtype:
         raise TypeError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
@@ -437,7 +465,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     np.multiply(p, s, out=p)
     if mask is not None:
         np.add(p, mask.astype(p.dtype, copy=False), out=p)
-    np.subtract(p, p.max(axis=-1, keepdims=True), out=p)
+    np.subtract(p, _row_max(p), out=p)
     np.exp(p, out=p)
     np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
     out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, l, d)
@@ -465,13 +493,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-CDF GELU x*Phi(x) (erf form, not the tanh approximation).
 
-    float64 uses scipy's erf and is the reference. float32 uses the clamped
-    rational erf of Eigen and XLA, within 5e-7*max(1, |x|) of the float64
-    result.
+    float64 uses scipy's erf, loaded on the first float64 call, and is the
+    reference. float32 uses the clamped rational erf of Eigen and XLA, within
+    5e-7*max(1, |x|) of the float64 result.
     """
     x = a.data
     if x.dtype == np.float32:
         return _gelu_f32(a)
+    # scipy.special loads slower than the rest of the program and no float32
+    # run needs it. A local import, not a global set on first use, so this
+    # module's attributes never change after import.
+    from scipy.special import erf
+
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf
 
@@ -556,7 +589,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
+    m = _row_max(x) if axis in (-1, x.ndim - 1) else x.max(axis=axis, keepdims=True)
+    shifted = x - m
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
@@ -579,9 +613,9 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     gd = gain.data
     reduce_axes = tuple(range(x.ndim - 1))
     # xc = x - mu becomes xhat in place; the xc * xc buffer becomes the output
-    xhat = x - x.mean(axis=-1, keepdims=True)
+    xhat = x - _mean_last(x)
     out = np.multiply(xhat, xhat)
-    inv = out.mean(axis=-1, keepdims=True)
+    inv = _mean_last(out)
     np.add(inv, eps, out=inv)
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -592,9 +626,9 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     def vjp(g):
         # dx = inv * (dxhat - m1 - xhat * m2), built in the dxhat buffer
         dx = g * gd
-        m1 = dx.mean(axis=-1, keepdims=True)
+        m1 = _mean_last(dx)
         t = dx * xhat
-        m2 = t.mean(axis=-1, keepdims=True)
+        m2 = _mean_last(t)
         np.subtract(dx, m1, out=dx)
         np.multiply(xhat, m2, out=t)
         np.subtract(dx, t, out=dx)
@@ -617,7 +651,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     if t.size and (t.min() < 0 or t.max() >= c):
         raise ValueError(f"cross_entropy target index out of range [0, {c})")
     x = logits.data
-    m = x.max(axis=1, keepdims=True)
+    m = _row_max(x)
     e = np.exp(x - m)
     z = e.sum(axis=1, keepdims=True)
     logp = (x - m) - np.log(z)

@@ -544,3 +544,54 @@ def test_console_script_entry():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "0 failed" in proc.stdout
+
+
+# Runs in a fresh interpreter: every f32 path of every variant, then the CLI's
+# train and export, must leave scipy unloaded; one f64 forward then loads it.
+_SCIPY_GUARD = r"""
+import json, sys
+from pathlib import Path
+from exfusion import _entry
+from exfusion.checkpoint import load_model_checkpoint, save_model_checkpoint
+from exfusion.model import Model, collapse_to_dense
+from exfusion.optim import AdamW
+from exfusion.tasks import TaskSpec, build_task
+from exfusion.train import batch_loss, evaluate, model_spec_for_task, train_step
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out, config = Path(sys.argv[1]), sys.argv[2]
+task = build_task(TaskSpec(task="char_lm", seq_len=8, seed=0))
+seen = {}
+for variant in ("dense", "moe", "sw", "dw", "mb"):
+    spec = model_spec_for_task(task, depth=1, dim=8, heads=2, expansion=2, variant=variant,
+                               num_experts=3, seed=0)
+    model = Model(spec)
+    opt = AdamW(model.named_parameters())
+    x, y = task.batch(0, 4)
+    train_step(model, opt, x, y, 1e-3, 1.0, 0)
+    evaluate(model, task)
+    if variant != "moe":  # the top-k mixture has no dense form
+        collapse_to_dense(model)
+    path = out / f"{variant}.bin"
+    save_model_checkpoint(path, model, step=1, optimizer=opt)
+    load_model_checkpoint(path)
+    seen[variant] = scipy_modules()
+codes = [_entry.main(["train", "--config", config, "--out", str(out / "run")]),
+         _entry.main(["export", str(out / "run" / "ckpt_000002.bin"), "--out", str(out / "dense.bin")])]
+seen["cli"] = scipy_modules()
+batch_loss(model.cast("f64"), x, y, training=False)
+print(json.dumps({"codes": codes, "f32": seen, "f64": "scipy.special" in sys.modules}))
+"""
+
+
+def test_f32_process_never_imports_scipy(tmp_path):
+    cfg = write_config(tmp_path, variant="mb", steps=2)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path), str(cfg)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert result["f32"] == {k: [] for k in ("dense", "moe", "sw", "dw", "mb", "cli")}
+    assert result["f64"] is True

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exfusion.params import name_rng
 from exfusion.tasks import (
     CharLMTask,
     SyntheticClusterTask,
@@ -90,6 +91,18 @@ class TestCharLM:
         x, y = t.batch(3, 8)
         assert x.shape == (8, 12) and y.shape == (8, 12)
         np.testing.assert_array_equal(x[:, 1:], y[:, :-1])
+
+    def test_batches_equal_stacked_slices(self):
+        t = CharLMTask(TaskSpec(task="char_lm", seq_len=32, seed=3))
+        l = t.spec.seq_len
+        for step in range(50):
+            x, y = t.batch(step, 16)
+            starts = name_rng(3, f"task.batch.{step}").integers(0, len(t.train_ids) - l - 1, size=16)
+            want_x = np.stack([t.train_ids[s:s + l] for s in starts])
+            want_y = np.stack([t.train_ids[s + 1:s + l + 1] for s in starts])
+            for got, want in ((x, want_x), (y, want_y)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
     def test_val_windows_cover_val_region_without_overlap(self):
         t = CharLMTask(TaskSpec(task="char_lm", seq_len=10, seed=2))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import erf
 
 from exfusion import tensor as T
@@ -376,7 +377,7 @@ class TestGelu:
 
     def test_scipy_erf_sees_only_float64(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(T, "erf", lambda z: seen.append(z.dtype) or erf(z))
+        monkeypatch.setattr(scipy.special, "erf", lambda z: seen.append(z.dtype) or erf(z))
         x = Tensor(np.linspace(-3, 3, 11, dtype=np.float32), requires_grad=True)
         tsum(gelu(x)).backward()
         assert seen == []
@@ -599,6 +600,91 @@ class TestFusedPrimitives:
             T.affine(x, Tensor(np.zeros((3, 5), dtype=dtype)), Tensor(np.zeros(5, dtype=dtype)))
         with pytest.raises(ShapeError, match="bias"):
             T.affine(x, w, Tensor(np.zeros(4, dtype=dtype)))
+
+
+# ---------------------------------------------------------------------------
+# row max and layernorm means: byte-equal to the numpy calls they replace
+# ---------------------------------------------------------------------------
+
+
+def _assert_unchanged_by(monkeypatch, helper, old, op, arrays, upstream):
+    """``op`` gives the same bytes, forward and vjp, with ``T.<helper>`` set to ``old``."""
+    new_out, new_grads = _run(op, arrays, upstream)
+    monkeypatch.setattr(T, helper, old)
+    old_out, old_grads = _run(op, arrays, upstream)
+    assert _same_bytes(new_out.data, old_out.data), "forward"
+    for i, (g, r) in enumerate(zip(new_grads, old_grads)):
+        assert _same_bytes(g, r), f"gradient of input {i}"
+
+
+def _old_row_max(x):
+    return x.max(axis=-1, keepdims=True)
+
+
+def _zero_max_rows(rng, shape, dtype):
+    """Negative rows; by turns the max is +0 tied with -0 (both orders), a lone
+    -0, or one entry left in a row masked to -1e9."""
+    x = -np.abs(rng.normal(size=shape)) - 0.1
+    rows = x.reshape(-1, shape[-1])
+    rows[0::4, :2] = (0.0, -0.0)
+    rows[1::4, :2] = (-0.0, 0.0)
+    rows[2::4, -1] = -0.0
+    rows[3::4, 1:] = -1e9
+    return x.astype(dtype)
+
+
+# charlm-small scores, the charlm-small logits, and rows past one transposed block
+ROW_SHAPES = [(16, 4, 32, 32), (512, 65), (2100, 40), (5, 2)]
+# layernorm inputs of the charlm-small, cluster-wide and verify-fd workloads, and
+# a width that is not a power of two, where 1/n is inexact
+NORM_SHAPES = [(16, 32, 32), (64, 32, 128), (2, 4, 8), (6, 40)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+class TestRowMaxAndMeans:
+    @pytest.mark.parametrize("shape", ROW_SHAPES, ids=str)
+    def test_row_max_is_numpy_max(self, dtype, shape):
+        x = _zero_max_rows(np.random.default_rng(1), shape, dtype)
+        got, want = T._row_max(x), _old_row_max(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()  # == holds for a +0/-0 tie
+
+    @pytest.mark.parametrize("shape", ROW_SHAPES, ids=str)
+    def test_softmax_unchanged(self, monkeypatch, dtype, shape):
+        rng = np.random.default_rng(2)
+        x = _zero_max_rows(rng, shape, dtype)
+        _assert_unchanged_by(monkeypatch, "_row_max", _old_row_max, softmax, [x],
+                             rng.normal(size=shape).astype(dtype))
+
+    @pytest.mark.parametrize("c", [65, 8])
+    def test_cross_entropy_unchanged(self, monkeypatch, dtype, c):
+        rng = np.random.default_rng(3)
+        x = _zero_max_rows(rng, (512, c), dtype)
+        targets = rng.integers(0, c, size=512)
+        targets[:3] = (0, 0, c - 1)  # the tied +0, the tied -0 and the lone -0
+        _assert_unchanged_by(monkeypatch, "_row_max", _old_row_max,
+                             lambda t: cross_entropy(t, targets), [x], np.asarray(1.5, dtype))
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    def test_attention_unchanged(self, monkeypatch, dtype, masked):
+        b, l, d, heads = 16, 32, 32, 4
+        rng = np.random.default_rng(4)
+        q, k, v = (rng.normal(size=(b, l, d)).astype(dtype) for _ in range(3))
+        q[:, ::3] = 0.0  # rows of equal scores, all with max 0
+        mask = np.triu(np.full((l, l), -1e9), k=1).astype(dtype) if masked else None
+        _assert_unchanged_by(monkeypatch, "_row_max", _old_row_max,
+                             lambda *t: T.attention(*t, heads, mask), [q, k, v],
+                             rng.normal(size=(b, l, d)).astype(dtype))
+
+    @pytest.mark.parametrize("shape", NORM_SHAPES, ids=str)
+    def test_layernorm_means_unchanged(self, monkeypatch, dtype, shape):
+        rng = np.random.default_rng(5)
+        d = shape[-1]
+        x = (rng.normal(size=shape) * 2.0 + 0.5).astype(dtype)
+        gain = (rng.normal(size=d) * 0.5 + 1.0).astype(dtype)
+        bias = (rng.normal(size=d) * 0.1).astype(dtype)
+        _assert_unchanged_by(monkeypatch, "_mean_last", lambda a: a.mean(axis=-1, keepdims=True),
+                             layernorm, [x, gain, bias], rng.normal(size=shape).astype(dtype))
 
 
 # ---------------------------------------------------------------------------
