@@ -45,27 +45,41 @@ def uniform_weights(n: int, dtype) -> np.ndarray:
     return np.full(n, 1.0 / n, dtype=as_np_dtype(dtype))
 
 
+def _checked_weights(experts: ExpertAffine, weights) -> Tensor:
+    """``weights`` as a finite vector tensor with one entry per expert."""
+    if not isinstance(weights, Tensor):
+        weights = Tensor(np.asarray(weights, dtype=experts.weight.data.dtype))
+    wd = weights.data
+    if wd.ndim != 1 or wd.shape[0] != experts.n:
+        raise ShapeError(f"fuse: expected {experts.n} weights, got shape {wd.shape}")
+    if not np.isfinite(wd).all():
+        raise NonFiniteError("fuse: non-finite fusion weights")
+    return weights
+
+
+def _fuse(experts: ExpertAffine, weights: Tensor) -> FusedAffine:
+    return FusedAffine(combine(weights, experts.weight), combine(weights, experts.bias))
+
+
 def fuse(experts: ExpertAffine, weights) -> FusedAffine:
     """Collapse an expert set into one affine layer with the given weights.
 
     Differentiable with respect to both the experts and (when ``weights``
     is a tensor requiring grad) the weights themselves.
     """
-    if not isinstance(weights, Tensor):
-        weights = Tensor(np.asarray(weights, dtype=experts.weight.data.dtype))
-    if weights.ndim != 1 or weights.shape[0] != experts.n:
-        raise ShapeError(f"fuse: expected {experts.n} weights, got shape {weights.shape}")
-    if not np.isfinite(weights.data).all():
-        raise NonFiniteError("fuse: non-finite fusion weights")
-    return FusedAffine(combine(weights, experts.weight), combine(weights, experts.bias))
+    return _fuse(experts, _checked_weights(experts, weights))
 
 
 def fused_ffn_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine,
                       weights_up, weights_down=None) -> Tensor:
-    """Run the FFN through fused up/down expert sets."""
-    wd = weights_up if weights_down is None else weights_down
-    fu = fuse(up, weights_up)
-    fd = fuse(down, wd)
+    """Run the FFN through fused up/down expert sets, each fused as ``fuse`` does.
+
+    A weight vector the two sets share is checked once.
+    """
+    wu = _checked_weights(up, weights_up)
+    shared = weights_down is None or weights_down is weights_up
+    wd = wu if shared else _checked_weights(down, weights_down)
+    fu, fd = _fuse(up, wu), _fuse(down, wd)
     h = gelu(affine(x, fu.weight, fu.bias))
     return affine(h, fd.weight, fd.bias)
 

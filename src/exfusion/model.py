@@ -244,6 +244,9 @@ class Model:
         if tokens.ndim != 2:
             raise ShapeError(f"tokens must be [batch, seq]; got shape {tokens.shape}")
         b, l = tokens.shape
+        if not b or not l:
+            raise ShapeError(f"tokens must hold at least one sequence of at least one token; "
+                             f"got shape {tokens.shape}")
         if l > self.spec.max_seq_len:
             raise ShapeError(f"sequence length {l} exceeds max_seq_len {self.spec.max_seq_len}")
         x = embedding(self.embed.weight, tokens)
@@ -338,8 +341,8 @@ def collapse_to_dense(model: Model) -> Model:
     """Export a plain dense model whose eval outputs match the source.
 
     Every multi-expert slot is replaced by the single affine pair that its
-    eval-mode fusion weights give through ``fusion.fuse``, the call the
-    source model makes in its own eval forward, so eval logits agree
+    eval-mode fusion weights give through ``fusion.fuse``, the combine the
+    source model runs in its own eval forward, so eval logits agree
     bitwise; routers and banks are dropped. The dense model owns its
     arrays: the ones it keeps are copied, so it never aliases the source.
     """

@@ -14,6 +14,11 @@ primitives they replace, so their outputs are bit-identical to it. So is
 ``grouped_affine``, one ``affine`` per consecutive row segment, each with
 its own weight and bias from a stack (the top-k MoE's expert dispatch).
 
+A primitive pays for its numpy arithmetic plus the checks numpy does not
+make itself: it reads each operand's ``.data`` once and compares shapes and
+dtypes on the arrays, and ``add``/``sub``/``mul`` check broadcasting only
+when the shapes differ.
+
 In-place rule: a primitive (forward or vjp) may write in place only into
 arrays it allocated in the same call and that no other node holds yet. The
 data of a parent is never mutated, nor is anything a vjp closure keeps, so
@@ -259,12 +264,19 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     takes exp, which maps either zero to 1.
     """
     c = x.shape[-1]
+    if not c:
+        raise ShapeError(f"row max of zero-width rows: shape {x.shape}")
     rows = x.reshape(-1, c)
     out = np.empty(rows.shape[0], x.dtype)
     step = max(1, _ROW_MAX_BLOCK // c)
     for s in range(0, rows.shape[0], step):
-        rows[s:s + step].T.copy().max(axis=0, out=out[s:s + step])
+        np.maximum.reduce(rows[s:s + step].T.copy(), axis=0, out=out[s:s + step])
     return out.reshape(x.shape[:-1] + (1,))
+
+
+# The hot primitives reduce with ``np.add.reduce`` and ``np.maximum.reduce``:
+# the reductions the ``.sum`` and ``.max`` methods run, minus numpy's
+# Python-level wrapper around them.
 
 
 def _mean_last(x: np.ndarray) -> np.ndarray:
@@ -280,50 +292,64 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
         raise TypeError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
 
 
-def _check_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not broadcastable") from None
+def _dtype_error(op: str, first: np.ndarray, *others: np.ndarray) -> TypeError:
+    """The error for the first of ``others`` whose dtype is not ``first``'s."""
+    other = next(o for o in others if o.dtype != first.dtype)
+    return TypeError(f"{op}: dtype mismatch {first.dtype} vs {other.dtype}")
+
+
+def _binary_operands(a: Tensor, b: Tensor, op: str):
+    """(a.data, b.data), refused unless their dtypes agree and shapes broadcast.
+
+    Equal shapes need no broadcast check, which is most calls.
+    """
+    ad, bd = a.data, b.data
+    if ad.dtype != bd.dtype:
+        raise _dtype_error(op, ad, bd)
+    if ad.shape != bd.shape:
+        try:
+            np.broadcast_shapes(ad.shape, bd.shape)
+        except ValueError:
+            raise ShapeError(f"{op}: shapes {ad.shape} and {bd.shape} are not broadcastable") from None
+    return ad, bd
 
 
 # -- elementwise and linear primitives ------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "add")
-    _check_broadcastable(a, b, "add")
+    ad, bd = _binary_operands(a, b, "add")
+    a_shape, b_shape = ad.shape, bd.shape
 
     def vjp(g):
-        return _sum_to(g, a.shape), _sum_to(g, b.shape)
+        return _sum_to(g, a_shape), _sum_to(g, b_shape)
 
-    return Tensor._from_op(a.data + b.data, (a, b), vjp)
+    return Tensor._from_op(ad + bd, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "sub")
-    _check_broadcastable(a, b, "sub")
+    ad, bd = _binary_operands(a, b, "sub")
+    a_shape, b_shape = ad.shape, bd.shape
 
     def vjp(g):
-        return _sum_to(g, a.shape), _sum_to(-g, b.shape)
+        return _sum_to(g, a_shape), _sum_to(-g, b_shape)
 
-    return Tensor._from_op(a.data - b.data, (a, b), vjp)
+    return Tensor._from_op(ad - bd, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "mul")
-    _check_broadcastable(a, b, "mul")
-    ad, bd = a.data, b.data
+    ad, bd = _binary_operands(a, b, "mul")
+    a_shape, b_shape = ad.shape, bd.shape
 
     def vjp(g):
-        return _sum_to(g * bd, a.shape), _sum_to(g * ad, b.shape)
+        return _sum_to(g * bd, a_shape), _sum_to(g * ad, b_shape)
 
     return Tensor._from_op(ad * bd, (a, b), vjp)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    if not np.isfinite(s):
+    if not math.isfinite(s):
         raise NonFiniteError(f"scale by non-finite factor {s}")
 
     def vjp(g):
@@ -361,27 +387,28 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     matmul that stacks a [d_in, d_out] per batch row. The bias is added in
     place into the fresh product.
     """
-    _check_same_dtype(x, weight, "affine")
-    _check_same_dtype(x, bias, "affine")
-    if x.ndim < 1 or weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
-        raise ShapeError(f"affine: input {x.shape} does not fit weight {weight.shape}")
-    if bias.shape != (weight.shape[1],):
-        raise ShapeError(f"affine: bias {bias.shape} does not fit weight {weight.shape}")
-    x_shape = x.shape
-    flat = x.ndim != 2
-    xd = x.data.reshape(-1, x_shape[-1]) if flat else x.data
-    wd = weight.data
+    xd, wd, bd = x.data, weight.data, bias.data
+    if wd.dtype != xd.dtype or bd.dtype != xd.dtype:
+        raise _dtype_error("affine", xd, wd, bd)
+    x_shape, w_shape = xd.shape, wd.shape
+    if not x_shape or len(w_shape) != 2 or x_shape[-1] != w_shape[0]:
+        raise ShapeError(f"affine: input {x_shape} does not fit weight {w_shape}")
+    if bd.shape != w_shape[1:]:
+        raise ShapeError(f"affine: bias {bd.shape} does not fit weight {w_shape}")
+    flat = len(x_shape) != 2
+    if flat:
+        xd = xd.reshape(-1, x_shape[-1])
     y = np.matmul(xd, wd)
-    np.add(y, bias.data, out=y)
+    np.add(y, bd, out=y)
 
     def vjp(g):
-        g2 = g.reshape(xd.shape[0], wd.shape[1]) if flat else g
+        g2 = g.reshape(y.shape) if flat else g
         gx = np.matmul(g2, wd.T)
         gw = np.matmul(xd.T, g2)
         gx = gx.reshape(x_shape) if flat else gx
-        return gx, gw, g2.sum(axis=0)
+        return gx, gw, np.add.reduce(g2, axis=0)
 
-    out = y.reshape(x_shape[:-1] + (wd.shape[1],)) if flat else y
+    out = y.reshape(x_shape[:-1] + w_shape[1:]) if flat else y
     return Tensor._from_op(out, (x, weight, bias), vjp)
 
 
@@ -443,12 +470,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     matmul allocates. With ``return_weights`` the [b, heads, l, l]
     probabilities come back too, as an array the caller must not modify.
     """
-    _check_same_dtype(q, k, "attention")
-    _check_same_dtype(q, v, "attention")
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    qd, kd, vd = q.data, k.data, v.data
+    if kd.dtype != qd.dtype or vd.dtype != qd.dtype:
+        raise _dtype_error("attention", qd, kd, vd)
+    shape = qd.shape
+    if len(shape) != 3 or kd.shape != shape or vd.shape != shape:
         raise ShapeError(f"attention: q/k/v must share one [b, l, d] shape; got "
-                         f"{q.shape}, {k.shape} and {v.shape}")
-    b, l, d = q.shape
+                         f"{shape}, {kd.shape} and {vd.shape}")
+    b, l, d = shape
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: dim {d} is not a multiple of {heads} heads")
     if mask is not None and mask.shape != (l, l):
@@ -459,7 +488,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
     def split(t: np.ndarray) -> np.ndarray:
         return t.reshape(b, l, heads, hd).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(qd), split(kd), split(vd)
     kt = kh.transpose(0, 1, 3, 2)
     p = np.matmul(qh, kt)
     np.multiply(p, s, out=p)
@@ -467,7 +496,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
         np.add(p, mask.astype(p.dtype, copy=False), out=p)
     np.subtract(p, _row_max(p), out=p)
     np.exp(p, out=p)
-    np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+    np.divide(p, np.add.reduce(p, axis=-1, keepdims=True), out=p)
     out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, l, d)
 
     def merge(t: np.ndarray) -> np.ndarray:
@@ -478,7 +507,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
         gs = np.matmul(g4, np.swapaxes(vh, -1, -2))
         gv = np.matmul(np.swapaxes(p, -1, -2), g4)
         # softmax vjp p * (g - <g, p>), then the scale, in the buffer gs
-        dot = (gs * p).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(gs * p, axis=-1, keepdims=True)
         np.subtract(gs, dot, out=gs)
         np.multiply(p, gs, out=gs)
         np.multiply(gs, s, out=gs)
@@ -586,16 +615,18 @@ def _gelu_f32(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis``, computed with max-subtraction for stability."""
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {a.shape}")
     x = a.data
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
+    if not x.shape[axis]:
+        raise ShapeError(f"softmax over an empty axis {axis} of shape {x.shape}")
     m = _row_max(x) if axis in (-1, x.ndim - 1) else x.max(axis=axis, keepdims=True)
     shifted = x - m
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / np.add.reduce(e, axis=axis, keepdims=True)
 
     def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(g * s, axis=axis, keepdims=True)
         return (s * (g - dot),)
 
     return Tensor._from_op(s, (a,), vjp)
@@ -605,13 +636,12 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ValueError(f"layernorm eps must be > 0; got {eps}")
-    if gain.shape != (a.shape[-1],) or bias.shape != (a.shape[-1],):
+    x, gd, bd = a.data, gain.data, bias.data
+    width = x.shape[-1:]
+    if gd.shape != width or bd.shape != width:
         raise ShapeError(
-            f"layernorm gain/bias must have shape ({a.shape[-1]},); got {gain.shape} and {bias.shape}"
+            f"layernorm gain/bias must have shape {width}; got {gd.shape} and {bd.shape}"
         )
-    x = a.data
-    gd = gain.data
-    reduce_axes = tuple(range(x.ndim - 1))
     # xc = x - mu becomes xhat in place; the xc * xc buffer becomes the output
     xhat = x - _mean_last(x)
     out = np.multiply(xhat, xhat)
@@ -621,7 +651,7 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     np.divide(1.0, inv, out=inv)
     np.multiply(xhat, inv, out=xhat)
     np.multiply(xhat, gd, out=out)
-    np.add(out, bias.data, out=out)
+    np.add(out, bd, out=out)
 
     def vjp(g):
         # dx = inv * (dxhat - m1 - xhat * m2), built in the dxhat buffer
@@ -633,28 +663,31 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
         np.multiply(xhat, m2, out=t)
         np.subtract(dx, t, out=dx)
         np.multiply(inv, dx, out=dx)
-        dgain = np.multiply(g, xhat, out=t).sum(axis=reduce_axes)
-        dbias = g.sum(axis=reduce_axes)
+        reduce_axes = tuple(range(x.ndim - 1))
+        dgain = np.add.reduce(np.multiply(g, xhat, out=t), axis=reduce_axes)
+        dbias = np.add.reduce(g, axis=reduce_axes)
         return dx, dgain, dbias
 
     return Tensor._from_op(out, (a, gain, bias), vjp)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the target class. ``logits``: [B, C]."""
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects [batch, classes] logits; got {logits.shape}")
-    t = np.asarray(targets)
-    if t.ndim != 1 or t.shape[0] != logits.shape[0]:
-        raise ShapeError(f"cross_entropy targets shape {t.shape} does not match batch {logits.shape[0]}")
-    n, c = logits.shape
-    if t.size and (t.min() < 0 or t.max() >= c):
-        raise ValueError(f"cross_entropy target index out of range [0, {c})")
+    """Mean negative log-softmax of the target class. ``logits``: [B, C], B and C >= 1."""
     x = logits.data
-    m = _row_max(x)
-    e = np.exp(x - m)
-    z = e.sum(axis=1, keepdims=True)
-    logp = (x - m) - np.log(z)
+    if x.ndim != 2:
+        raise ShapeError(f"cross_entropy expects [batch, classes] logits; got {x.shape}")
+    n, c = x.shape
+    if not n or not c:
+        raise ShapeError(f"cross_entropy needs at least one row and one class; got logits {x.shape}")
+    t = np.asarray(targets)
+    if t.shape != (n,):
+        raise ShapeError(f"cross_entropy targets shape {t.shape} does not match batch {n}")
+    if t.min() < 0 or t.max() >= c:
+        raise ValueError(f"cross_entropy target index out of range [0, {c})")
+    shifted = x - _row_max(x)
+    e = np.exp(shifted)
+    z = np.add.reduce(e, axis=1, keepdims=True)
+    logp = shifted - np.log(z)
     rows = np.arange(n)
     loss = np.asarray(-logp[rows, t].mean(), dtype=x.dtype)
 
@@ -703,12 +736,24 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` as one tape node: the sum ``tsum`` takes, times
+    ``1/count`` as ``scale`` multiplies it, so the bytes are those of that chain."""
+    x = a.data
+    src = x.shape
     if axis is None:
-        count = a.data.size
+        count = x.size
     else:
-        count = int(np.prod([a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
-    s = tsum(a, axis=axis, keepdims=keepdims)
-    return scale(s, 1.0 / count)
+        count = math.prod(src[ax] for ax in (axis if isinstance(axis, tuple) else (axis,)))
+    s = 1.0 / count
+    expand = axis is not None and not keepdims
+
+    def vjp(g):
+        g = g * s
+        out = np.empty(src, dtype=g.dtype)
+        out[...] = np.expand_dims(g, axis) if expand else g
+        return (out,)
+
+    return Tensor._from_op(np.asarray(np.add.reduce(x, axis=axis, keepdims=keepdims)) * s, (a,), vjp)
 
 
 # -- gather / scatter primitives ----------------------------------------------
@@ -852,21 +897,21 @@ def combine(weights: Tensor, stacked: Tensor) -> Tensor:
     Gradients flow to both operands: the stacked slice ``i`` receives
     ``weights[i] * g`` and ``weights[i]`` receives ``<g, stacked[i]>``.
     """
-    if weights.ndim != 1:
-        raise ShapeError(f"combine weights must be a vector; got shape {weights.shape}")
-    if weights.shape[0] != stacked.shape[0]:
-        raise ShapeError(
-            f"combine: {weights.shape[0]} weights for {stacked.shape[0]} stacked entries"
-        )
-    _check_same_dtype(weights, stacked, "combine")
     wd, sd = weights.data, stacked.data
-    n = sd.shape[0]
+    if wd.ndim != 1:
+        raise ShapeError(f"combine weights must be a vector; got shape {wd.shape}")
+    n = wd.shape[0]
+    if sd.shape[0] != n:
+        raise ShapeError(f"combine: {n} weights for {sd.shape[0]} stacked entries")
+    if wd.dtype != sd.dtype:
+        raise _dtype_error("combine", wd, sd)
+    rows = sd.reshape(n, -1)
 
     def vjp(g):
-        gw = sd.reshape(n, -1) @ g.ravel()
-        gs = np.multiply.outer(wd, g)
-        return gw, gs
+        # the weights' gradient is a gemv over the whole stack: skip it when unused
+        gw = rows @ g.ravel() if weights.requires_grad else None
+        return gw, np.multiply.outer(wd, g)
 
     # the exact product np.tensordot(wd, sd, axes=(0, 0)) computes, minus its axis bookkeeping
-    out = np.dot(wd.reshape(1, n), sd.reshape(n, -1)).reshape(sd.shape[1:])
+    out = np.dot(wd.reshape(1, n), rows).reshape(sd.shape[1:])
     return Tensor._from_op(out, (weights, stacked), vjp)

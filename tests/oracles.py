@@ -13,6 +13,9 @@ forward and vjp as separate numpy temporaries, in the primitive's order.
 ``topk_moe_loop`` is the per-expert slice loop that the sorted dispatch of
 ``moe.topk_moe_forward`` replaced, and ``adamw_reference`` the
 per-parameter AdamW loop that the blocked pass of ``optim.AdamW`` replaced.
+``tmean_chain`` is the ``tsum`` -> ``scale`` pair the one-node ``tmean``
+replaced, and ``sum_to_shape`` the reduction of a broadcast gradient back to
+its operand's shape.
 """
 
 import math
@@ -35,6 +38,7 @@ from exfusion.tensor import (
     scatter_rows,
     softmax,
     transpose,
+    tsum,
 )
 
 
@@ -155,6 +159,26 @@ def layernorm_reference(x, gain, bias, g, eps=1e-5):
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
     dx = inv * (dxhat - m1 - xhat * m2)
     return out, dx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+
+def tmean_chain(a, axis=None, keepdims=False):
+    """Mean as two tape nodes: the sum, then a scale by 1/count."""
+    if axis is None:
+        count = a.data.size
+    else:
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        count = int(np.prod([a.data.shape[ax] for ax in axes]))
+    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+
+
+def sum_to_shape(g, shape):
+    """Sum ``g`` over the leading axes it has beyond ``shape``, then over the
+    axes where ``shape`` is 1, keeping them."""
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 def topk_moe_loop(x, up, down, router, k):

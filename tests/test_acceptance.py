@@ -2,10 +2,16 @@
 
 Each test prints one ``ACCEPTANCE n [PASS|FAIL]`` line (run with ``-s`` to
 see them live). Heavier criteria note their runtime budgets inline.
+Criteria 3 and 8 run their independent parts in a pool of ``os.cpu_count()``
+worker processes; each part computes exactly what it computes serially, and
+the results are gathered in the serial order.
 """
 
 import dataclasses
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -71,9 +77,24 @@ def test_criterion_2_collapse_faithfulness(tmp_path):
            f"({dense.param_count()}=={dense_baseline}) runtime={elapsed:.0f}s")
 
 
+def _pool_map(fn, *iterables):
+    """``list(map(fn, *iterables))``, run in freshly spawned worker processes.
+
+    Workers inherit the environment, so the test session's BLAS pin holds in them.
+    """
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=os.cpu_count(), mp_context=context) as pool:
+        return list(pool.map(fn, *iterables))
+
+
+def _gradient_suite(dtype):
+    return suite_gradients(seed=0, dtypes=(dtype,), model_seeds=5)
+
+
 def test_criterion_3_gradient_correctness():
     t0 = time.perf_counter()
-    results = suite_gradients(seed=0, dtypes=("f32", "f64"), model_seeds=5)
+    # the suite checks each dtype on its own, so it splits into one run per dtype
+    results = [r for part in _pool_map(_gradient_suite, ("f32", "f64")) for r in part]
     elapsed = time.perf_counter() - t0
     model_checks = [r for r in results if "full_model" in r.name]
     ok = all(r.passed for r in results) and len(model_checks) == 6 and elapsed < 300
@@ -161,25 +182,26 @@ def test_criterion_7_training_overhead():
            f"{detail}, moe=x{moe_ratio:.2f} (dense={rows['dense'].mean_ms:.1f} ms)")
 
 
+def _quality_run(variant, seed, out):
+    """Final validation loss of one criterion-8 CharLM run."""
+    task_spec = TaskSpec(task="char_lm", seq_len=32, seed=seed)
+    task = build_task(task_spec)
+    spec = model_spec_for_task(task, depth=2, dim=32, heads=4, expansion=4,
+                               variant=variant, num_experts=4, momentum=0.95,
+                               seed=seed)
+    cfg = TrainConfig(steps=5000, batch_size=16, warmup_steps=500, base_lr=1e-3,
+                      min_lr=1e-5, weight_decay=0.05, log_interval=1000,
+                      checkpoint_interval=0)
+    return train_loop(spec, task_spec, cfg, out).final_eval.loss
+
+
 def test_criterion_8_quality_trend(tmp_path):
     t0 = time.perf_counter()
-    means = {}
-    per_seed = {}
-    for variant in ("dense", "mb"):
-        losses = []
-        for seed in (0, 1, 2):
-            task_spec = TaskSpec(task="char_lm", seq_len=32, seed=seed)
-            task = build_task(task_spec)
-            spec = model_spec_for_task(task, depth=2, dim=32, heads=4, expansion=4,
-                                       variant=variant, num_experts=4, momentum=0.95,
-                                       seed=seed)
-            cfg = TrainConfig(steps=5000, batch_size=16, warmup_steps=500, base_lr=1e-3,
-                              min_lr=1e-5, weight_decay=0.05, log_interval=1000,
-                              checkpoint_interval=0)
-            res = train_loop(spec, task_spec, cfg, tmp_path / f"{variant}{seed}")
-            losses.append(res.final_eval.loss)
-        means[variant] = float(np.mean(losses))
-        per_seed[variant] = losses
+    variants, seeds = ("dense", "mb"), (0, 1, 2)
+    runs = [(v, s) for v in variants for s in seeds]
+    losses = dict(zip(runs, _pool_map(_quality_run, *zip(*runs),
+                                      [tmp_path / f"{v}{s}" for v, s in runs])))
+    means = {v: float(np.mean([losses[v, s] for s in seeds])) for v in variants}
     gap = means["mb"] - means["dense"]
     ok = gap <= 0.01
     strict = "and strictly wins" if gap < 0 else "but does not strictly win (soft point)"

@@ -216,6 +216,23 @@ class TestModelForward:
             m.forward(np.full((1, 4), 11))
 
 
+class TestEmptyBatches:
+    """Empty token arrays fail with one typed error, not deep inside numpy."""
+
+    @pytest.mark.parametrize("objective", ["classification", "lm"])
+    @pytest.mark.parametrize("variant", ["dense", "sw", "dw", "mb", "moe"])
+    def test_empty_tokens_are_refused(self, variant, objective):
+        m = Model(small_spec(variant=variant, objective=objective, num_experts=3))
+        for shape in [(3, 0), (0, 6), (0, 0)]:
+            tokens = np.zeros(shape, dtype=int)
+            for training in (False, True):
+                with pytest.raises(ShapeError, match="at least one sequence"):
+                    m.forward(tokens, training=training)
+            targets = np.zeros(shape if objective == "lm" else shape[:1], dtype=int)
+            with pytest.raises(ShapeError, match="at least one sequence"):
+                batch_loss(m, tokens, targets, training=True)
+
+
 def tape_nodes(root) -> int:
     """Tensors reachable from ``root`` through the tape, leaves included."""
     seen, stack = set(), [root]

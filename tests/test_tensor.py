@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from oracles import (
     layernorm_reference,
     max_rel_err,
     numeric_gradient,
+    sum_to_shape,
+    tmean_chain,
 )
 
 F32_TOL = 1e-4
@@ -600,6 +603,86 @@ class TestFusedPrimitives:
             T.affine(x, Tensor(np.zeros((3, 5), dtype=dtype)), Tensor(np.zeros(5, dtype=dtype)))
         with pytest.raises(ShapeError, match="bias"):
             T.affine(x, w, Tensor(np.zeros(4, dtype=dtype)))
+
+
+# ---------------------------------------------------------------------------
+# lean tape bookkeeping: the same bytes and errors as before
+# ---------------------------------------------------------------------------
+
+MEAN_AXES = [None, 0, 1, -1, (0, 2), (2, 0), (-1,), ()]
+# (a, b): equal shapes, then shapes that broadcast either way round
+BINARY_SHAPES = [((3, 4), (3, 4)), ((2, 3, 4), (2, 3, 4)), ((3, 4), (4,)), ((4,), (3, 4)),
+                 ((2, 3, 4), (3, 1)), ((2, 1, 4), (1, 3, 1)), ((3, 4), ()), ((), (3, 4))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+class TestLeanBookkeeping:
+    @pytest.mark.parametrize("keepdims", [False, True], ids=["dropdims", "keepdims"])
+    @pytest.mark.parametrize("axis", MEAN_AXES, ids=str)
+    def test_tmean_matches_the_sum_scale_chain(self, dtype, axis, keepdims):
+        rng = np.random.default_rng(29)
+        x = (rng.normal(size=(3, 5, 7)) * 2.0).astype(dtype)
+        want = tmean_chain(Tensor(x), axis, keepdims).data
+        upstream = rng.normal(size=np.shape(want)).astype(dtype)
+        out, (grad,) = _run(lambda t: tmean(t, axis, keepdims), [x], upstream)
+        ref, (ref_grad,) = _run(lambda t: tmean_chain(t, axis, keepdims), [x], upstream)
+        assert type(out.data) is type(ref.data)
+        assert _same_bytes(out.data, ref.data), "forward"
+        assert _same_bytes(grad, ref_grad), "gradient"
+
+    def test_tmean_is_one_tape_node(self, dtype):
+        a = Tensor(np.ones((2, 3), dtype=dtype), requires_grad=True)
+        for axis in (None, 1, (0, 1)):
+            assert tmean(a, axis)._parents == (a,)
+
+    @pytest.mark.parametrize("shapes", BINARY_SHAPES, ids=str)
+    @pytest.mark.parametrize("op", [add, mul], ids=["add", "mul"])
+    def test_add_mul_broadcast_is_the_materialised_operation(self, dtype, op, shapes):
+        # with each operand copied out to the result shape, the shapes are equal;
+        # the bytes must not depend on which path the op takes
+        rng = np.random.default_rng(31)
+        a, b = (rng.normal(size=s).astype(dtype) for s in shapes)
+        shape = np.broadcast_shapes(*shapes)
+        g = rng.normal(size=shape).astype(dtype)
+        out, (ga, gb) = _run(op, [a, b], g)
+        full = [np.broadcast_to(v, shape).copy() for v in (a, b)]
+        ref, (gfa, gfb) = _run(op, full, g)
+        assert _same_bytes(out.data, ref.data), "forward"
+        assert _same_bytes(ga, sum_to_shape(gfa, a.shape)), "gradient of a"
+        assert _same_bytes(gb, sum_to_shape(gfb, b.shape)), "gradient of b"
+
+    @pytest.mark.parametrize("op, name", [(add, "add"), (mul, "mul"), (T.sub, "sub")])
+    def test_shapes_that_do_not_broadcast_keep_their_error(self, dtype, op, name):
+        a, b = Tensor(np.zeros((2, 3), dtype=dtype)), Tensor(np.zeros(4, dtype=dtype))
+        text = f"{name}: shapes (2, 3) and (4,) are not broadcastable"
+        with pytest.raises(ShapeError, match=re.escape(text)):
+            op(a, b)
+
+    def test_combine_skips_the_unused_weight_gradient(self, dtype):
+        rng = np.random.default_rng(37)
+        w, stack = rng.normal(size=3).astype(dtype), rng.normal(size=(3, 4, 5)).astype(dtype)
+        g = rng.normal(size=(4, 5)).astype(dtype)
+        experts = Tensor(stack, requires_grad=True)
+        frozen = combine(Tensor(w), experts)._vjp(g)
+        learned = combine(Tensor(w, requires_grad=True), experts)._vjp(g)
+        assert frozen[0] is None
+        assert learned[0].tobytes() == (stack.reshape(3, -1) @ g.ravel()).tobytes()
+        assert frozen[1].tobytes() == learned[1].tobytes() == np.multiply.outer(w, g).tobytes()
+
+
+class TestEmptyInputs:
+    def test_row_max_and_softmax_refuse_zero_width_rows(self):
+        with pytest.raises(ShapeError, match="zero-width"):
+            T._row_max(np.zeros((3, 0)))
+        for shape, axis in [((3, 0), -1), ((3, 0), 1), ((0, 3), 0)]:
+            with pytest.raises(ShapeError, match="empty axis"):
+                softmax(Tensor(np.zeros(shape)), axis)
+        assert softmax(Tensor(np.zeros((0, 3))), -1).shape == (0, 3)  # no rows is fine
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_cross_entropy_refuses_no_rows_or_no_classes(self, shape):
+        with pytest.raises(ShapeError, match="at least one row and one class"):
+            cross_entropy(Tensor(np.zeros(shape)), np.zeros(shape[0], dtype=int))
 
 
 # ---------------------------------------------------------------------------
