@@ -287,11 +287,6 @@ def _mean_last(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise TypeError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-
-
 def _dtype_error(op: str, first: np.ndarray, *others: np.ndarray) -> TypeError:
     """The error for the first of ``others`` whose dtype is not ``first``'s."""
     other = next(o for o in others if o.dtype != first.dtype)
@@ -360,7 +355,8 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product; batch dims broadcast, inner dims must agree."""
-    _check_same_dtype(a, b, "matmul")
+    if a.data.dtype != b.data.dtype:
+        raise _dtype_error("matmul", a.data, b.data)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands; got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -423,8 +419,8 @@ def grouped_affine(x: Tensor, weight: Tensor, bias: Tensor, counts) -> Tensor:
     own slice of one stack-shaped buffer; only groups with no rows are
     zeroed.
     """
-    _check_same_dtype(x, weight, "grouped_affine")
-    _check_same_dtype(x, bias, "grouped_affine")
+    if weight.data.dtype != x.data.dtype or bias.data.dtype != x.data.dtype:
+        raise _dtype_error("grouped_affine", x.data, weight.data, bias.data)
     if x.ndim != 2 or weight.ndim != 3 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"grouped_affine: input {x.shape} does not fit weight stack {weight.shape}")
     n, _, d_out = weight.shape
