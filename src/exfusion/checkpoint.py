@@ -8,8 +8,9 @@ Layout (all little-endian):
 
 Scalar metadata rides along as records with a ``meta/`` prefix, placed
 after the model tensors: strings as uint8 bytes, ints as int64[1], floats
-as float64[1], structured values as JSON bytes. Round-trips are bit-exact;
-a version mismatch refuses to load.
+as float64[1], structured values as JSON bytes, so no tensor name may
+begin with ``meta/``. Round-trips are bit-exact; a version mismatch refuses
+to load.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,88 +70,130 @@ def meta_int(meta: dict, key: str) -> int:
     return int(meta[key][0])
 
 
-def _write_record(fh, name: str, arr: np.ndarray) -> None:
+_HEAD = struct.Struct("<II")  # version, record count
+_U32 = struct.Struct("<I")
+_DIMS = tuple(struct.Struct(f"<{rank}Q") for rank in range(256))  # rank is a u8
+_LITTLE = {code: dt.newbyteorder("<") for code, dt in _DTYPES.items()}
+_SWAP = sys.byteorder != "little"
+
+
+def _record_bytes(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """(header, payload) of one record, refused unless the dtype has a code."""
     if arr.dtype not in _CODES:
         raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
     encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<BB", _CODES[arr.dtype], arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<Q", dim))
-    fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+    header = (_U32.pack(len(encoded)) + encoded + struct.pack("<BB", _CODES[arr.dtype], arr.ndim)
+              + _DIMS[arr.ndim].pack(*arr.shape))
+    return header, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write tensors plus metadata; tensor records sorted by name, meta after."""
+    """Write tensors plus metadata; tensor records sorted by name, meta after.
+
+    Every record is encoded and checked before the file is opened: an
+    unsupported dtype, or a tensor name in the ``meta/`` namespace (it would
+    read back as metadata), is refused with nothing written. A write that
+    fails partway removes its ``.tmp`` file; the target is only ever
+    replaced whole.
+    """
     path = Path(path)
     meta = meta or {}
-    meta_records = [("meta/" + k, _encode_meta_value(v)) for k, v in sorted(meta.items())]
-    records = sorted(tensors.items()) + meta_records
+    reserved = next((name for name in tensors if name.startswith("meta/")), None)
+    if reserved is not None:
+        raise CheckpointError(f"tensor {reserved!r} uses the reserved 'meta/' prefix")
+    records = [_record_bytes(name, np.asarray(arr)) for name, arr in sorted(tensors.items())]
+    records += [_record_bytes("meta/" + k, _encode_meta_value(v)) for k, v in sorted(meta.items())]
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(records)))
-        for name, arr in records:
-            _write_record(fh, name, np.asarray(arr))
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + _HEAD.pack(VERSION, len(records)))
+            for header, payload in records:
+                fh.write(header)
+                fh.write(payload)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _truncated(path, n: int, left: int) -> CheckpointError:
+    return CheckpointError(f"{path}: truncated checkpoint ({n} bytes declared, {left} left)")
 
 
 def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Load (tensors, meta). Meta values come back as raw arrays; use the
-    ``meta_*`` helpers to decode them. Each declared length is checked
+    ``meta_*`` helpers to decode them. A name may appear only once.
+
+    The reader tracks its own offset: each declared length is checked
     against the bytes left in the file before it is read, and each payload
-    is read straight into its own array. A name may appear only once."""
+    is read straight into its own array. A record costs three header reads
+    (the name length; the name, dtype code and rank; all dims) and one
+    payload read.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-
-        def check_left(n: int) -> None:
-            left = size - fh.tell()
-            if n > left:
-                raise CheckpointError(
-                    f"{path}: truncated checkpoint ({n} bytes declared, {left} left)")
-
-        def read_exact(n: int) -> bytes:
-            check_left(n)
-            return fh.read(n)
-
-        if read_exact(4) != MAGIC:
+        read = fh.read
+        if size < 4:
+            raise _truncated(path, 4, size)
+        if read(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        version, count = struct.unpack("<II", read_exact(8))
+        if size < 12:
+            raise _truncated(path, 8, size - 4)
+        version, count = _HEAD.unpack(read(8))
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: version mismatch (file v{version}, reader v{VERSION}); refusing to load"
             )
         tensors: dict[str, np.ndarray] = {}
         meta: dict[str, np.ndarray] = {}
+        left = size - 12  # bytes after the reader's offset
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", read_exact(4))
+            if left < 4:
+                raise _truncated(path, 4, left)
+            (name_len,) = _U32.unpack(read(4))
+            left -= 4
+            if name_len + 2 > left:  # the name, or its dtype code and rank, runs off the end
+                if name_len > left:
+                    raise _truncated(path, name_len, left)
+                head = read(name_len)
+            else:
+                head = read(name_len + 2)
             try:
-                name = read_exact(name_len).decode("utf-8")
+                name = head[:name_len].decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(
-                    f"{path}: record name at byte {fh.tell() - name_len} is not UTF-8") from None
+                    f"{path}: record name at byte {size - left} is not UTF-8") from None
             if name.startswith("meta/"):
-                into, key = meta, name[len("meta/"):]
+                into, key = meta, name[5:]
             else:
                 into, key = tensors, name
             if key in into:
                 raise CheckpointError(f"{path}: duplicate record {name!r}")
-            code, rank = struct.unpack("<BB", read_exact(2))
-            if code not in _DTYPES:
+            left -= name_len
+            if left < 2:
+                raise _truncated(path, 2, left)
+            code = head[name_len]
+            rank = head[name_len + 1]
+            left -= 2
+            if code not in _LITTLE:
                 raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
-            dims = tuple(struct.unpack("<Q", read_exact(8))[0] for _ in range(rank))
-            dtype = _DTYPES[code]
+            if 8 * rank > left:  # named by the first dim that runs off the end
+                raise _truncated(path, 8, left % 8)
+            dims = _DIMS[rank].unpack(read(8 * rank))
+            left -= 8 * rank
+            dtype = _LITTLE[code]
             nbytes = math.prod(dims) * dtype.itemsize
-            check_left(nbytes)
+            if nbytes > left:
+                raise _truncated(path, nbytes, left)
             try:
-                arr = np.empty(dims, dtype=dtype.newbyteorder("<"))
+                arr = np.empty(dims, dtype=dtype)
             except ValueError as exc:  # a rank or dim numpy cannot build, with no payload
                 raise CheckpointError(f"{path}: record {name!r} has impossible dims: {exc}") from None
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+            if fh.readinto(arr) != nbytes:
                 raise CheckpointError(f"{path}: short read of {name!r}")
-            into[key] = arr.astype(dtype, copy=False)
-        if fh.read(1):
+            left -= nbytes
+            into[key] = arr.astype(_DTYPES[code]) if _SWAP else arr
+        if left:
             raise CheckpointError(f"{path}: trailing bytes after declared records")
     return tensors, meta
 
@@ -231,22 +275,38 @@ def load_model_checkpoint(path) -> LoadedModel:
         if key in meta:
             _meta_field(path, meta, key, _json_object)
     want = as_np_dtype(dtype)
-    foreign = next((name for name, arr in tensors.items()
-                    if name != "opt/step" and arr.dtype != want), None)
-    if foreign is not None:
-        raise CheckpointError(f"{path}: record {foreign!r} is {tensors[foreign].dtype}, "
-                              f"but 'meta/dtype' is {dtype}")
-    opt_arrays = {k: v for k, v in tensors.items() if k.startswith("opt/")}
-    state = {k: v for k, v in tensors.items() if not k.startswith("opt/")}
+    state: dict[str, np.ndarray] = {}
+    opt_arrays: dict[str, np.ndarray] = {}
+    moments: set[str] = set()  # the parameter names of the opt/m/ and opt/v/ records
+    stray = False  # an opt/ record that is neither a moment nor opt/step
+    for name, arr in tensors.items():
+        if name.startswith("opt/"):
+            opt_arrays[name] = arr
+            if name == "opt/step":
+                continue
+            if name.startswith(("opt/m/", "opt/v/")):
+                moments.add(name[6:])
+            else:
+                stray = True
+        else:
+            state[name] = arr
+        if arr.dtype != want:
+            raise CheckpointError(f"{path}: record {name!r} is {arr.dtype}, "
+                                  f"but 'meta/dtype' is {dtype}")
     try:
         model = Model.from_arrays(spec, state, dtype)
     except (KeyError, ValueError, NonFiniteError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
-    known = set(model.state_arrays())
-    known.update(f"opt/{moment}/{name}" for name, t in model.named_parameters()
-                 if t.requires_grad for moment in "mv")
-    known.add("opt/step")
-    unknown = next((name for name in tensors if name not in known), None)
-    if unknown is not None:
-        raise CheckpointError(f"{path}: unknown record {unknown!r}")
+    # The model adopted one state record per parameter and buffer, so only a
+    # count beyond that, a moment of a parameter it does not train, or a stray
+    # opt/ record means an unknown one; then the first in file order is named.
+    params = model.named_parameters()
+    trainable = {name for name, t in params if t.requires_grad}
+    if stray or len(state) != len(params) + len(model.named_buffers()) or not moments <= trainable:
+        known = set(model.state_arrays())
+        known.update(f"opt/{moment}/{name}" for name in trainable for moment in "mv")
+        known.add("opt/step")
+        unknown = next((name for name in tensors if name not in known), None)
+        if unknown is not None:
+            raise CheckpointError(f"{path}: unknown record {unknown!r}")
     return LoadedModel(model, step, meta, opt_arrays)

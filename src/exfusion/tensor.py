@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -87,9 +88,14 @@ def as_np_dtype(dtype) -> np.dtype:
         except KeyError:
             raise ValueError(f"unsupported dtype {dtype!r}; expected 'f32' or 'f64'") from None
     d = np.dtype(dtype)
-    if d not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if d not in _FLOAT_DTYPES:
         raise ValueError(f"unsupported dtype {d}; expected float32 or float64")
     return d
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """``np.isfinite(arr).all()`` without ``ndarray.all``'s Python wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
 
 
 _grad_enabled = True
@@ -122,11 +128,11 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
             arr = np.asarray(data, dtype=as_np_dtype(dtype))
-        elif isinstance(data, np.ndarray) and data.dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        elif isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
             arr = data
         else:
             arr = np.asarray(data, dtype=np.float32)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteError("tensor created with non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -252,6 +258,7 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 _ROW_MAX_BLOCK = 1 << 16  # elements per transposed block: it stays in L2
+_ROW_MAX_MIN_ROWS = 64  # below this many rows numpy's own row reduce is faster
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:
@@ -261,11 +268,15 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     transposed copy the same max runs as one vectorised elementwise maximum
     across rows. A max is exact, so only the sign of a zero can differ, where
     a row holds both +0 and -0 as its max; every caller subtracts the max and
-    takes exp, which maps either zero to 1.
+    takes exp, which maps either zero to 1. The copy costs a fixed few
+    microseconds, which pays off from about 64 rows of width 4 to 32 (more
+    for wider rows); fewer rows take numpy's reduce.
     """
     c = x.shape[-1]
     if not c:
         raise ShapeError(f"row max of zero-width rows: shape {x.shape}")
+    if x.size < _ROW_MAX_MIN_ROWS * c:
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
     rows = x.reshape(-1, c)
     out = np.empty(rows.shape[0], x.dtype)
     step = max(1, _ROW_MAX_BLOCK // c)

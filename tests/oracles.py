@@ -15,13 +15,18 @@ forward and vjp as separate numpy temporaries, in the primitive's order.
 per-parameter AdamW loop that the blocked pass of ``optim.AdamW`` replaced.
 ``tmean_chain`` is the ``tsum`` -> ``scale`` pair the one-node ``tmean``
 replaced, and ``sum_to_shape`` the reduction of a broadcast gradient back to
-its operand's shape.
+its operand's shape. ``read_checkpoint_reference`` is the checkpoint reader
+that the offset-tracking ``checkpoint.read_checkpoint`` replaced: one read
+and one ``tell()``-based bounds check per header field and per dim.
 """
 
 import math
+import os
+import struct
 
 import numpy as np
 
+from exfusion.checkpoint import MAGIC, VERSION, CheckpointError
 from exfusion.moe import route, topk_select
 from exfusion.tensor import (
     Tensor,
@@ -234,3 +239,63 @@ def adamw_reference(params, m, v, step_count, lr, beta1=0.9, beta2=0.999, eps=1e
             update = update + weight_decay * p.data
         p.data = p.data - lr * update
     return step_count
+
+
+_CHECKPOINT_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64),
+                      2: np.dtype(np.int64), 3: np.dtype(np.uint8)}
+
+
+def read_checkpoint_reference(path):
+    """(tensors, meta) of a checkpoint file, read one header field at a time."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def check_left(n):
+            left = size - fh.tell()
+            if n > left:
+                raise CheckpointError(
+                    f"{path}: truncated checkpoint ({n} bytes declared, {left} left)")
+
+        def read_exact(n):
+            check_left(n)
+            return fh.read(n)
+
+        if read_exact(4) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        version, count = struct.unpack("<II", read_exact(8))
+        if version != VERSION:
+            raise CheckpointError(
+                f"{path}: version mismatch (file v{version}, reader v{VERSION}); refusing to load"
+            )
+        tensors = {}
+        meta = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", read_exact(4))
+            try:
+                name = read_exact(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(
+                    f"{path}: record name at byte {fh.tell() - name_len} is not UTF-8") from None
+            if name.startswith("meta/"):
+                into, key = meta, name[len("meta/"):]
+            else:
+                into, key = tensors, name
+            if key in into:
+                raise CheckpointError(f"{path}: duplicate record {name!r}")
+            code, rank = struct.unpack("<BB", read_exact(2))
+            if code not in _CHECKPOINT_DTYPES:
+                raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
+            dims = tuple(struct.unpack("<Q", read_exact(8))[0] for _ in range(rank))
+            dtype = _CHECKPOINT_DTYPES[code]
+            nbytes = math.prod(dims) * dtype.itemsize
+            check_left(nbytes)
+            try:
+                arr = np.empty(dims, dtype=dtype.newbyteorder("<"))
+            except ValueError as exc:
+                raise CheckpointError(f"{path}: record {name!r} has impossible dims: {exc}") from None
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise CheckpointError(f"{path}: short read of {name!r}")
+            into[key] = arr.astype(dtype, copy=False)
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after declared records")
+    return tensors, meta

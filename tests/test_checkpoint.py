@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -17,10 +18,12 @@ from exfusion.checkpoint import (
     save_model_checkpoint,
     write_checkpoint,
 )
-from exfusion import params
-from exfusion.model import Model, ModelSpec
+from exfusion import checkpoint, params
+from exfusion.model import VARIANTS, Model, ModelSpec
 from exfusion.optim import AdamW
 from exfusion.tensor import cross_entropy
+
+from oracles import read_checkpoint_reference
 
 
 def sample_tensors():
@@ -333,3 +336,322 @@ class TestModelCheckpoint:
         write_checkpoint(path, tensors, meta)
         with pytest.raises(CheckpointError, match="ckpt.bin.*'meta/step'.*-3"):
             load_model_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# the reader against the one it replaced, refused writes, corruption sweeps
+# ---------------------------------------------------------------------------
+
+
+def _outcome(reader, path):
+    """What ``reader`` makes of ``path``: its records in order, or its error."""
+    try:
+        tensors, meta = reader(path)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+    return [[(k, a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for k, a in d.items()]
+            for d in (tensors, meta)]
+
+
+def _assert_reads_like_reference(path):
+    got, want = _outcome(read_checkpoint, path), _outcome(read_checkpoint_reference, path)
+    assert got == want
+
+
+def _small_trained(variant, dtype, seed=5, depth=2):
+    spec = ModelSpec(depth=depth, dim=8, heads=2, expansion=2, vocab_size=7, num_classes=3,
+                     max_seq_len=4, variant=variant, num_experts=3, seed=seed)
+    model = Model(spec, dtype)
+    opt = AdamW(model.named_parameters())
+    model.zero_grad()
+    tokens = np.random.default_rng(seed).integers(0, 7, size=(2, 4))
+    cross_entropy(model.forward(tokens, training=True), np.array([0, 2])).backward()
+    opt.step(1e-3)
+    return model, opt
+
+
+def _malformed_files():
+    """(id, build) for each malformed file the tests above refuse; ``build``
+    writes the file into a directory and returns its path."""
+
+    def sample(d):
+        path = d / "x.bin"
+        write_checkpoint(path, sample_tensors(), {"step": 17})
+        return path, bytearray(path.read_bytes())
+
+    def edited(edit):
+        def build(d):
+            path, raw = sample(d)
+            path.write_bytes(bytes(edit(raw)))
+            return path
+        return build
+
+    def single_record(tail):
+        def build(d):
+            path = d / "x.bin"
+            write_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
+            path.write_bytes(tail(bytearray(path.read_bytes()), 12 + 4 + len("w") + 2))
+            return path
+        return build
+
+    def dims_at(dims):
+        def tail(raw, at):
+            raw[at:at + 16] = struct.pack("<QQ", *dims)
+            return bytes(raw)
+        return tail
+
+    def declared(dims):
+        def build(d):
+            path = d / "x.bin"
+            path.write_bytes(MAGIC + struct.pack("<IIIc", VERSION, 1, 1, b"w")
+                             + struct.pack("<BB", 0, len(dims))
+                             + b"".join(struct.pack("<Q", n) for n in dims)
+                             + b"\0" * (4 * math.prod(dims)))
+            return path
+        return build
+
+    def duplicate(record):
+        def build(d):
+            path = d / "x.bin"
+            stand_in = record[:-1] + "~"
+            tensors, meta = sample_tensors(), {"step": 17}
+            if record.startswith("meta/"):
+                meta[stand_in[len("meta/"):]] = 7
+            else:
+                tensors[stand_in] = np.full_like(tensors[record], 7)
+            write_checkpoint(path, tensors, meta)
+            path.write_bytes(path.read_bytes().replace(stand_in.encode(), record.encode()))
+            return path
+        return build
+
+    def bad_magic(d):
+        path = d / "x.bin"
+        path.write_bytes(b"NOPE" + b"\x00" * 16)
+        return path
+
+    def set_bytes(at, value):
+        def edit(raw):
+            raw[at:at + len(value)] = value
+            return raw
+        return edit
+
+    return [
+        ("bad_magic", bad_magic),
+        ("version_mismatch", edited(set_bytes(4, struct.pack("<I", VERSION + 1)))),
+        ("truncated_by_3", edited(lambda raw: raw[:-3])),
+        ("trailing_bytes", edited(lambda raw: raw + b"junk")),
+        ("absurd_dims", single_record(dims_at((2 ** 40, 3)))),
+        ("absurd_dims_overflow", single_record(dims_at((2 ** 62, 2 ** 62)))),
+        ("huge_dim", declared((0, 2 ** 63))),
+        ("rank_65", declared((1,) * 65)),
+        ("truncated_payload", single_record(lambda raw, at: bytes(raw[:at + 16 + 10]))),
+        ("undecodable_name", edited(set_bytes(16, b"\xff"))),
+        ("duplicate_tensor", duplicate("a.weight")),
+        ("duplicate_meta", duplicate("meta/step")),
+        ("unknown_dtype_code", edited(set_bytes(12 + 4 + len("a.weight"), b"\x07"))),
+        ("absurd_name_length", edited(set_bytes(12, struct.pack("<I", 2 ** 32 - 1)))),
+        ("empty_file", edited(lambda raw: b"")),
+    ]
+
+
+class TestReaderMatchesReference:
+    """``read_checkpoint`` gives the records, in order, or the error that the
+    one-field-at-a-time reader in ``tests/oracles.py`` gives."""
+
+    @pytest.mark.parametrize("with_opt", [False, True], ids=["model", "with_opt"])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_model_checkpoints(self, tmp_path, variant, dtype, with_opt):
+        model, opt = _small_trained(variant, dtype)
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, model, step=1, optimizer=opt if with_opt else None,
+                              extra_meta={"task_spec": {"task": "synthetic_cluster"}})
+        _assert_reads_like_reference(path)
+        tensors, _ = read_checkpoint(path)
+        assert any(k.startswith("opt/") for k in tensors) == with_opt
+
+    def test_every_record_kind(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, {
+            "rank0": np.array(2.5),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "u8": np.frombuffer(b"\x00\x7f\xff", dtype=np.uint8).copy(),
+            "i64": np.arange(-3, 9, dtype=np.int64).reshape(2, 2, 3),
+            "f32": np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32),
+        }, {"step": 4, "delta": 0.5, "tag": "x", "spec": {"a": [1, 2]}})
+        _assert_reads_like_reference(path)
+        tensors, _ = read_checkpoint(path)
+        assert tensors["rank0"].shape == () and tensors["empty"].shape == (0, 3)
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=i) for i, b in _malformed_files()])
+    def test_malformed_files(self, tmp_path, build):
+        path = build(tmp_path)
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+        _assert_reads_like_reference(path)
+
+    def test_every_truncation_and_bit_flip_of_a_small_file(self, tmp_path):
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, {"rank0": np.array(2.5), "empty": np.zeros((0, 3)),
+                                "w": np.ones((2, 3), dtype=np.float32)}, {"step": 3})
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            _assert_reads_like_reference(path)
+        for at in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[at] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                _assert_reads_like_reference(path)
+
+
+class TestUnknownRecords:
+    """A record the model does not use is refused by name, the first in file order."""
+
+    @pytest.mark.parametrize("extra, first", [
+        ({"opt/step2": "opt/m/head.bias"}, "opt/step2"),
+        ({"opt/x/head.weight": "opt/m/head.weight"}, "opt/x/head.weight"),
+        ({"opt/m/blocks.0.ffn.fusion.weights": "opt/m/head.weight"},
+         "opt/m/blocks.0.ffn.fusion.weights"),
+        ({"zz.weight": "head.weight", "opt/zz": "head.bias", "aa.weight": "head.weight"},
+         "aa.weight"),
+        ({"opt/v/zz": "opt/v/head.weight", "pos.weigh": "pos.weight"}, "opt/v/zz"),
+    ], ids=["stray_opt", "unknown_moment_kind", "moment_of_frozen_param", "first_of_three",
+            "moment_before_state"])
+    def test_unknown_record_named(self, tmp_path, extra, first):
+        spec = ModelSpec(depth=1, dim=8, heads=2, expansion=2, vocab_size=5, num_classes=2,
+                         max_seq_len=4, variant="dw", num_experts=2, freeze_fusion_weights=True)
+        model = Model(spec)
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, model, optimizer=AdamW(model.named_parameters()))
+        tensors, meta = read_checkpoint(path)
+        assert not dict(model.named_parameters())["blocks.0.ffn.fusion.weights"].requires_grad
+        for name, like in extra.items():
+            tensors[name] = tensors[like].copy()
+        write_checkpoint(path, tensors, meta)
+        with pytest.raises(CheckpointError, match=f"ckpt.bin: unknown record '{first}'"):
+            load_model_checkpoint(path)
+
+
+def _listing(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestRefusedWrite:
+    """A write that is refused, or fails, leaves the directory as it was."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "over_existing"])
+    @pytest.mark.parametrize("tensors, meta, match", [
+        ({"a": np.zeros(3), "b": np.arange(4, dtype=np.int32)}, {"step": 1},
+         "'b' has unsupported dtype int32"),
+        ({"a": np.zeros(3)}, {"step": 1, "bad": np.zeros(2, dtype=np.float16)},
+         "'meta/bad' has unsupported dtype float16"),
+        ({"a": np.zeros(3), "meta/step": np.zeros(1)}, {"step": 1},
+         "'meta/step' uses the reserved 'meta/' prefix"),
+        ({"meta/extra": np.zeros(1)}, None, "'meta/extra' uses the reserved 'meta/' prefix"),
+    ], ids=["int32_tensor", "float16_meta", "meta_step_tensor", "meta_named_tensor"])
+    def test_refused_record_writes_nothing(self, tmp_path, tensors, meta, match, existing):
+        path = tmp_path / "x.bin"
+        if existing:
+            write_checkpoint(path, sample_tensors())
+        before = _listing(tmp_path)
+        with pytest.raises(CheckpointError, match=match):
+            write_checkpoint(path, tensors, meta)
+        assert _listing(tmp_path) == before
+
+    def test_unencodable_meta_value_writes_nothing(self, tmp_path):
+        before = _listing(tmp_path)
+        with pytest.raises(TypeError, match="cannot encode metadata"):
+            write_checkpoint(tmp_path / "x.bin", sample_tensors(), {"step": object()})
+        assert _listing(tmp_path) == before
+
+    def test_failed_write_removes_its_tmp(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, sample_tensors())
+        before = _listing(tmp_path)
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", lambda p, mode: FullDisk(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_checkpoint(path, {"w": np.ones(4)}, {"step": 2})
+        assert _listing(tmp_path) == before
+
+
+def _header_offsets(raw: bytes) -> list[int]:
+    """Offsets of the file header and of every record's length, name, code,
+    rank and dims, found with the documented layout."""
+    (count,) = struct.unpack_from("<I", raw, 8)
+    offsets, at = list(range(12)), 12
+    itemsize = {0: 4, 1: 8, 2: 8, 3: 1}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, at)
+        code, rank = raw[at + 4 + name_len], raw[at + 5 + name_len]
+        header = 4 + name_len + 2 + 8 * rank
+        dims = struct.unpack_from(f"<{rank}Q", raw, at + header - 8 * rank)
+        offsets += range(at, at + header)
+        at += header + math.prod(dims) * itemsize[code]
+    assert at == len(raw)
+    return offsets
+
+
+class TestCorruptionSweep:
+    """Every truncation, and every single-bit flip of a header byte, of a
+    small model checkpoint with optimizer state either loads or ends in a
+    ``CheckpointError``: no other exception escapes ``load_model_checkpoint``."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model, opt = _small_trained("mb", "f32", seed=9, depth=1)
+        path = tmp_path_factory.mktemp("sweep") / "source.bin"
+        save_model_checkpoint(path, model, step=1, optimizer=opt)
+        return path.read_bytes()
+
+    @staticmethod
+    def _loads_or_refuses(path) -> bool:
+        try:
+            load_model_checkpoint(path)
+        except CheckpointError:
+            return False
+        return True
+
+    def test_every_truncation_is_refused(self, tmp_path, saved):
+        path = tmp_path / "x.bin"
+        path.write_bytes(saved)
+        assert self._loads_or_refuses(path)
+        for cut in range(len(saved) - 1, -1, -1):  # shrink the file in place
+            os.truncate(path, cut)
+            assert not self._loads_or_refuses(path), cut
+
+    def test_every_header_bit_flip_loads_or_is_refused(self, tmp_path, saved):
+        path = tmp_path / "x.bin"
+        path.write_bytes(saved)
+        offsets = _header_offsets(saved)
+        loaded = 0
+        fd = os.open(path, os.O_RDWR)
+        try:
+            for at in offsets:
+                for bit in range(8):
+                    os.pwrite(fd, bytes([saved[at] ^ (1 << bit)]), at)
+                    loaded += self._loads_or_refuses(path)
+                os.pwrite(fd, saved[at:at + 1], at)
+        finally:
+            os.close(fd)
+        assert path.read_bytes() == saved
+        assert loaded < len(offsets)  # most flips are refused

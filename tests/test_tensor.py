@@ -716,8 +716,9 @@ def _zero_max_rows(rng, shape, dtype):
     return x.astype(dtype)
 
 
-# charlm-small scores, the charlm-small logits, and rows past one transposed block
-ROW_SHAPES = [(16, 4, 32, 32), (512, 65), (2100, 40), (5, 2)]
+# charlm-small scores, the charlm-small logits, rows past one transposed block, the
+# verify-fd scores, and the row counts either side of where numpy's reduce takes over
+ROW_SHAPES = [(16, 4, 32, 32), (512, 65), (2100, 40), (5, 2), (2, 2, 4, 4), (63, 8), (64, 8)]
 # layernorm inputs of the charlm-small, cluster-wide and verify-fd workloads, and
 # a width that is not a power of two, where 1/n is inexact
 NORM_SHAPES = [(16, 32, 32), (64, 32, 128), (2, 4, 8), (6, 40)]
