@@ -19,7 +19,6 @@ import json
 import math
 import os
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,9 +71,7 @@ def meta_int(meta: dict, key: str) -> int:
 
 _HEAD = struct.Struct("<II")  # version, record count
 _U32 = struct.Struct("<I")
-_DIMS = tuple(struct.Struct(f"<{rank}Q") for rank in range(256))  # rank is a u8
 _LITTLE = {code: dt.newbyteorder("<") for code, dt in _DTYPES.items()}
-_SWAP = sys.byteorder != "little"
 
 
 def _record_bytes(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -82,8 +79,8 @@ def _record_bytes(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
     if arr.dtype not in _CODES:
         raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
     encoded = name.encode("utf-8")
-    header = (_U32.pack(len(encoded)) + encoded + struct.pack("<BB", _CODES[arr.dtype], arr.ndim)
-              + _DIMS[arr.ndim].pack(*arr.shape))
+    header = (_U32.pack(len(encoded)) + encoded
+              + struct.pack(f"<BB{arr.ndim}Q", _CODES[arr.dtype], arr.ndim, *arr.shape))
     return header, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
@@ -179,7 +176,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
                 raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
             if 8 * rank > left:  # named by the first dim that runs off the end
                 raise _truncated(path, 8, left % 8)
-            dims = _DIMS[rank].unpack(read(8 * rank))
+            dims = struct.unpack(f"<{rank}Q", read(8 * rank))
             left -= 8 * rank
             dtype = _LITTLE[code]
             nbytes = math.prod(dims) * dtype.itemsize
@@ -192,7 +189,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             if fh.readinto(arr) != nbytes:
                 raise CheckpointError(f"{path}: short read of {name!r}")
             left -= nbytes
-            into[key] = arr.astype(_DTYPES[code]) if _SWAP else arr
+            into[key] = arr.astype(_DTYPES[code], copy=False)
         if left:
             raise CheckpointError(f"{path}: trailing bytes after declared records")
     return tensors, meta
@@ -277,36 +274,20 @@ def load_model_checkpoint(path) -> LoadedModel:
     want = as_np_dtype(dtype)
     state: dict[str, np.ndarray] = {}
     opt_arrays: dict[str, np.ndarray] = {}
-    moments: set[str] = set()  # the parameter names of the opt/m/ and opt/v/ records
-    stray = False  # an opt/ record that is neither a moment nor opt/step
     for name, arr in tensors.items():
-        if name.startswith("opt/"):
-            opt_arrays[name] = arr
-            if name == "opt/step":
-                continue
-            if name.startswith(("opt/m/", "opt/v/")):
-                moments.add(name[6:])
-            else:
-                stray = True
-        else:
-            state[name] = arr
-        if arr.dtype != want:
+        if arr.dtype != want and name != "opt/step":
             raise CheckpointError(f"{path}: record {name!r} is {arr.dtype}, "
                                   f"but 'meta/dtype' is {dtype}")
+        (opt_arrays if name.startswith("opt/") else state)[name] = arr
     try:
         model = Model.from_arrays(spec, state, dtype)
     except (KeyError, ValueError, NonFiniteError) as exc:
         raise CheckpointError(f"{path}: cannot rebuild the model: {exc}") from None
-    # The model adopted one state record per parameter and buffer, so only a
-    # count beyond that, a moment of a parameter it does not train, or a stray
-    # opt/ record means an unknown one; then the first in file order is named.
-    params = model.named_parameters()
-    trainable = {name for name, t in params if t.requires_grad}
-    if stray or len(state) != len(params) + len(model.named_buffers()) or not moments <= trainable:
-        known = set(model.state_arrays())
-        known.update(f"opt/{moment}/{name}" for name in trainable for moment in "mv")
-        known.add("opt/step")
-        unknown = next((name for name in tensors if name not in known), None)
-        if unknown is not None:
-            raise CheckpointError(f"{path}: unknown record {unknown!r}")
+    known = set(model.state_arrays())
+    known.update(f"opt/{moment}/{name}" for name, t in model.named_parameters()
+                 if t.requires_grad for moment in "mv")
+    known.add("opt/step")
+    unknown = next((name for name in tensors if name not in known), None)
+    if unknown is not None:
+        raise CheckpointError(f"{path}: unknown record {unknown!r}")
     return LoadedModel(model, step, meta, opt_arrays)

@@ -595,26 +595,36 @@ class TestRefusedWrite:
 
 
 def _header_offsets(raw: bytes) -> list[int]:
-    """Offsets of the file header and of every record's length, name, code,
-    rank and dims, found with the documented layout."""
+    """Offsets of the file header and of the length, name, code, rank and
+    dims of one record of each kind, found with the documented layout: every
+    meta record, and the first tensor record of each namespace (model state,
+    ``opt/m/``, ``opt/v/``, ``opt/step``), dtype code and rank."""
     (count,) = struct.unpack_from("<I", raw, 8)
-    offsets, at = list(range(12)), 12
+    offsets, at, seen = list(range(12)), 12, set()
     itemsize = {0: 4, 1: 8, 2: 8, 3: 1}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", raw, at)
+        name = raw[at + 4:at + 4 + name_len].decode("utf-8")
         code, rank = raw[at + 4 + name_len], raw[at + 5 + name_len]
         header = 4 + name_len + 2 + 8 * rank
         dims = struct.unpack_from(f"<{rank}Q", raw, at + header - 8 * rank)
-        offsets += range(at, at + header)
+        if name.startswith(("meta/", "opt/step")):
+            kind = name
+        else:
+            kind = (name[:6] if name.startswith("opt/") else "", code, rank)
+        if kind not in seen:
+            seen.add(kind)
+            offsets += range(at, at + header)
         at += header + math.prod(dims) * itemsize[code]
     assert at == len(raw)
     return offsets
 
 
 class TestCorruptionSweep:
-    """Every truncation, and every single-bit flip of a header byte, of a
-    small model checkpoint with optimizer state either loads or ends in a
-    ``CheckpointError``: no other exception escapes ``load_model_checkpoint``."""
+    """Every truncation, and every single-bit flip of a header byte of the
+    file and of one record of each kind, of a small model checkpoint with
+    optimizer state either loads or ends in a ``CheckpointError``: no other
+    exception escapes ``load_model_checkpoint``."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
