@@ -23,11 +23,11 @@ from .train import train_step
 @dataclass
 class BenchRow:
     variant: str
-    mean_ms: float   # median over timed rounds, name kept for the table schema
-    ratio: float | None  # vs dense; None when dense was not benched
+    median_ms: float  # over timed rounds
+    ratio: float      # vs dense
 
 
-def run_bench(run, variants=VARIANTS) -> list[BenchRow]:
+def run_bench(run) -> list[BenchRow]:
     task = build_task(run.task)
     cfg = run.train
     warmup = run.bench.warmup_steps
@@ -35,7 +35,7 @@ def run_bench(run, variants=VARIANTS) -> list[BenchRow]:
     sched = CosineSchedule(0, total, cfg.base_lr, cfg.min_lr)
 
     lanes = []
-    for variant in variants:
+    for variant in VARIANTS:
         spec = dataclasses.replace(run.model, variant=variant)
         model = Model(spec, dtype=cfg.dtype)
         opt = AdamW(model.named_parameters(), cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
@@ -50,21 +50,14 @@ def run_bench(run, variants=VARIANTS) -> list[BenchRow]:
             if step > warmup:
                 times.append(elapsed)
 
-    rows = [BenchRow(variant, statistics.median(times), None)
-            for variant, _, _, times in lanes]
-    dense = next((r for r in rows if r.variant == "dense"), None)
-    if dense is not None:
-        for r in rows:
-            r.ratio = r.mean_ms / dense.mean_ms
-    return rows
+    medians = {variant: statistics.median(times) for variant, _, _, times in lanes}
+    return [BenchRow(v, ms, ms / medians["dense"]) for v, ms in medians.items()]
 
 
 def format_table(rows: list[BenchRow]) -> str:
     lines = [f"{'variant':<8} {'median_ms':>10} {'vs_dense':>9}"]
     for r in rows:
-        ratio = f"x{r.ratio:.2f}" if r.ratio is not None else "-"
-        lines.append(f"{r.variant:<8} {r.mean_ms:>10.2f} {ratio:>9}")
-    if any(r.variant == "moe" for r in rows):
-        lines.append("note: the moe baseline routes per token with no auxiliary "
-                     "balancing loss and no capacity limit")
+        lines.append(f"{r.variant:<8} {r.median_ms:>10.2f} {f'x{r.ratio:.2f}':>9}")
+    lines.append("note: the moe baseline routes per token with no auxiliary "
+                 "balancing loss and no capacity limit")
     return "\n".join(lines)

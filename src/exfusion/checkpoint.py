@@ -58,7 +58,10 @@ def _encode_meta_value(value) -> np.ndarray:
 
 
 def meta_str(meta: dict, key: str) -> str:
-    return bytes(meta[key].astype(np.uint8)).decode("utf-8")
+    arr = meta[key]
+    if arr.dtype != np.uint8 or arr.ndim != 1:
+        raise ValueError(f"expected uint8 bytes, got {arr.dtype} of shape {arr.shape}")
+    return bytes(arr).decode("utf-8")
 
 
 def meta_json(meta: dict, key: str):
@@ -200,9 +203,15 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
 
 def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
                           extra_meta: dict | None = None) -> None:
+    """Write the model, and the optimizer's state if given. ``extra_meta``
+    may hold only the optional metadata records (``_EXTRA_META``); any other
+    key is refused before the file is opened."""
     from .model import Model  # local import to keep this module light
 
     assert isinstance(model, Model)
+    unknown = next((key for key in extra_meta or () if key not in _EXTRA_META), None)
+    if unknown is not None:
+        raise CheckpointError(f"{path}: extra metadata {unknown!r} is not one of {_EXTRA_META}")
     tensors = model.state_arrays()
     if optimizer is not None:
         tensors.update(optimizer.state_arrays())
@@ -218,6 +227,9 @@ def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
 
 
 class LoadedModel:
+    """A rebuilt model, its step, its decoded metadata (key -> value, as
+    ``_META`` decodes it) and its optimizer records."""
+
     def __init__(self, model, step: int, meta: dict, opt_arrays: dict):
         self.model = model
         self.step = step
@@ -230,7 +242,7 @@ def _meta_field(path, meta: dict, key: str, decode):
         raise CheckpointError(f"{path}: missing record 'meta/{key}'")
     try:
         return decode(meta, key)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, RecursionError) as exc:
         raise CheckpointError(f"{path}: record 'meta/{key}' is invalid: {exc}") from None
 
 
@@ -247,30 +259,72 @@ def _json_object(meta: dict, key: str) -> dict:
     return value
 
 
+def _model_format(meta: dict, key: str) -> str:
+    value = meta_str(meta, key)
+    if value != "model":
+        raise ValueError(f"expected 'model', got {value!r}")
+    return value
+
+
+def _model_spec(meta: dict, key: str):
+    from .model import ModelSpec
+
+    return ModelSpec(**_json_object(meta, key))
+
+
+def _step(meta: dict, key: str) -> int:
+    if meta[key].dtype != np.int64 or meta[key].shape != (1,):
+        raise ValueError(f"expected one int64, got {meta[key].dtype} of shape {meta[key].shape}")
+    step = meta_int(meta, key)
+    if step < 0:
+        raise ValueError(f"must be non-negative; got {step}")
+    return step
+
+
+# Every metadata record a model checkpoint may hold, with its decoder. The
+# required ones are those save_model_checkpoint always writes; the rest are
+# what its ``extra_meta`` may add.
+_META = {
+    "format": _model_format,
+    "model_spec": _model_spec,
+    "dtype": _dtype_name,
+    "step": _step,
+    "task_spec": _json_object,
+    "train_config": _json_object,
+    "exported_from": meta_str,
+}
+_REQUIRED_META = ("format", "model_spec", "dtype", "step")
+_EXTRA_META = tuple(key for key in _META if key not in _REQUIRED_META)
+
+
+def _decoded_meta(path, meta: dict) -> dict:
+    """Each metadata record decoded by its ``_META`` entry. An unknown,
+    missing or invalid record is a ``CheckpointError`` naming it."""
+    unknown = next((key for key in meta if key not in _META), None)
+    if unknown is not None:
+        raise CheckpointError(f"{path}: unknown record 'meta/{unknown}'")
+    return {key: _meta_field(path, meta, key, decode) for key, decode in _META.items()
+            if key in meta or key in _REQUIRED_META}
+
+
 def load_model_checkpoint(path) -> LoadedModel:
     """Rebuild the saved model from its records, adopting them as its arrays.
 
     Every fault in what the file holds (a missing, wrong-shaped or
-    non-finite record, undecodable metadata, a record the model does not
-    use) is a ``CheckpointError`` naming the file and the record. Besides
-    the model's parameters and buffers, only the optimizer moments of its
-    trainable parameters (``opt/m/<name>``, ``opt/v/<name>``) and
+    non-finite record, unknown or undecodable metadata, a record the model
+    does not use) is a ``CheckpointError`` naming the file and the record.
+    Besides the model's parameters and buffers, only the optimizer moments
+    of its trainable parameters (``opt/m/<name>``, ``opt/v/<name>``) and
     ``opt/step`` may be present. Every record but ``opt/step`` must have
-    the dtype ``meta/dtype`` names, and ``meta/task_spec`` and
-    ``meta/train_config``, where present, must be JSON objects.
+    the dtype ``meta/dtype`` names. The metadata records are those in
+    ``_META``: ``meta/format`` must be ``"model"``, and ``meta/task_spec``
+    and ``meta/train_config``, where present, must be JSON objects.
     """
-    from .model import Model, ModelSpec
+    from .model import Model
 
-    tensors, meta = read_checkpoint(path)
-    spec = _meta_field(path, meta, "model_spec",
-                       lambda m, k: ModelSpec(**meta_json(m, k)))
-    dtype = _meta_field(path, meta, "dtype", _dtype_name)
-    step = _meta_field(path, meta, "step", meta_int)
-    if step < 0:
-        raise CheckpointError(f"{path}: record 'meta/step' must be non-negative; got {step}")
-    for key in ("task_spec", "train_config"):
-        if key in meta:
-            _meta_field(path, meta, key, _json_object)
+    tensors, raw_meta = read_checkpoint(path)
+    meta = _decoded_meta(path, raw_meta)
+    spec, dtype, step = meta["model_spec"], meta["dtype"], meta["step"]
     want = as_np_dtype(dtype)
     state: dict[str, np.ndarray] = {}
     opt_arrays: dict[str, np.ndarray] = {}

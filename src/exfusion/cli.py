@@ -13,12 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import format_table, run_bench
-from .checkpoint import (
-    CheckpointError,
-    load_model_checkpoint,
-    meta_json,
-    save_model_checkpoint,
-)
+from .checkpoint import CheckpointError, load_model_checkpoint, save_model_checkpoint
 from .config import ConfigError, load_run_config, write_resolved_config
 from .model import collapse_to_dense, expected_param_count
 from .tasks import build_task
@@ -74,7 +69,7 @@ def cmd_export(args) -> int:
     extra = {"exported_from": str(args.ckpt)}
     for key in ("task_spec", "train_config"):
         if key in loaded.meta:
-            extra[key] = meta_json(loaded.meta, key)
+            extra[key] = loaded.meta[key]
     save_model_checkpoint(args.out, dense, step=loaded.step, extra_meta=extra)
     print(f"params before: {model.param_count()}")
     print(f"params after:  {dense.param_count()} "

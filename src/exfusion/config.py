@@ -25,16 +25,13 @@ class ConfigError(ValueError):
     """Raised for unreadable, unknown, or invalid configuration entries."""
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
-          "false": False, "0": False, "no": False, "off": False}
-
-
 def _convert(section: str, key: str, raw: str, kind):
     try:
         if kind is bool:
-            if raw.strip().lower() not in _BOOLS:
+            value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+            if value is None:
                 raise ValueError(f"not a boolean: {raw!r}")
-            return _BOOLS[raw.strip().lower()]
+            return value
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None

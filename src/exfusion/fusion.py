@@ -71,14 +71,13 @@ def fuse(experts: ExpertAffine, weights) -> FusedAffine:
 
 
 def fused_ffn_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine,
-                      weights_up, weights_down=None) -> Tensor:
+                      weights_up, weights_down) -> Tensor:
     """Run the FFN through fused up/down expert sets, each fused as ``fuse`` does.
 
     A weight vector the two sets share is checked once.
     """
     wu = _checked_weights(up, weights_up)
-    shared = weights_down is None or weights_down is weights_up
-    wd = wu if shared else _checked_weights(down, weights_down)
+    wd = wu if weights_down is weights_up else _checked_weights(down, weights_down)
     fu, fd = _fuse(up, wu), _fuse(down, wd)
     h = gelu(affine(x, fu.weight, fu.bias))
     return affine(h, fd.weight, fd.bias)

@@ -133,11 +133,8 @@ class AttentionLayer:
         self.v = Affine(name + ".v", dim, dim, src)
         self.o = Affine(name + ".o", dim, dim, src)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None, return_weights: bool = False):
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         q, k, v = self.q(x), self.k(x), self.v(x)
-        if return_weights:
-            ctx, probs = attention(q, k, v, self.heads, mask, return_weights=True)
-            return self.o(ctx), Tensor(probs)
         return self.o(attention(q, k, v, self.heads, mask))
 
 

@@ -37,7 +37,7 @@ class Router(Affine):
 
 def route(x: Tensor, router: Router) -> Tensor:
     """Per-token softmax gate over experts; rows sum to 1."""
-    return softmax(router(x), axis=-1)
+    return softmax(router(x))
 
 
 def topk_select(gates: np.ndarray, k: int) -> np.ndarray:

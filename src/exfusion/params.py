@@ -29,8 +29,8 @@ def name_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int.from_bytes(digest[:8], "little"))))
 
 
-def normal_init(seed: int, name: str, shape, dtype, std: float = INIT_STD) -> np.ndarray:
-    arr = name_rng(seed, name).normal(0.0, std, size=shape)
+def normal_init(seed: int, name: str, shape, dtype) -> np.ndarray:
+    arr = name_rng(seed, name).normal(0.0, INIT_STD, size=shape)
     return arr.astype(as_np_dtype(dtype))
 
 
@@ -136,13 +136,12 @@ class ExpertAffine:
 
 
 class LayerNorm:
-    def __init__(self, name: str, dim: int, src: ArraySource, eps: float = 1e-5):
-        self.eps = eps
+    def __init__(self, name: str, dim: int, src: ArraySource):
         self.gain = src.full(name + ".gain", (dim,), 1.0)
         self.bias = src.full(name + ".bias", (dim,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layernorm(x, self.gain, self.bias, self.eps)
+        return layernorm(x, self.gain, self.bias)
 
 
 class Embedding:

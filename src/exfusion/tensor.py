@@ -169,12 +169,6 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -205,16 +199,6 @@ class Tensor:
                     continue
                 buf = flow.get(id(parent))
                 flow[id(parent)] = pg if buf is None else buf + pg
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add(self, Tensor(np.asarray(other, dtype=self.data.dtype)))
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
 
 
 def _linearize(root: Tensor) -> list[Tensor]:
@@ -468,14 +452,13 @@ def grouped_affine(x: Tensor, weight: Tensor, bias: Tensor, counts) -> Tensor:
     return Tensor._from_op(y, (x, weight, bias), vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
-              return_weights: bool = False):
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled dot-product attention, projected q/k/v [b, l, d] to context [b, l, d].
 
     ``mask`` is an additive [l, l] array (a plain array, never on the tape).
     The scores are scaled, masked and softmaxed in the one buffer the score
-    matmul allocates. With ``return_weights`` the [b, heads, l, l]
-    probabilities come back too, as an array the caller must not modify.
+    matmul allocates.
     """
     qd, kd, vd = q.data, k.data, v.data
     if kd.dtype != qd.dtype or vd.dtype != qd.dtype:
@@ -522,8 +505,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | No
         gk = np.matmul(np.swapaxes(qh, -1, -2), gs).transpose(0, 1, 3, 2)
         return merge(gq), merge(gk), merge(gv)
 
-    ctx = Tensor._from_op(out, (q, k, v), vjp)
-    return (ctx, p) if return_weights else ctx
+    return Tensor._from_op(out, (q, k, v), vjp)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -620,29 +602,23 @@ def _gelu_f32(a: Tensor) -> Tensor:
     return Tensor._from_op(out.reshape(a.shape), (a,), vjp)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, computed with max-subtraction for stability."""
+def softmax(a: Tensor) -> Tensor:
+    """Softmax along the last axis, computed with max-subtraction for stability."""
     x = a.data
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    if not x.shape[axis]:
-        raise ShapeError(f"softmax over an empty axis {axis} of shape {x.shape}")
-    m = _row_max(x) if axis in (-1, x.ndim - 1) else x.max(axis=axis, keepdims=True)
-    shifted = x - m
-    e = np.exp(shifted)
-    s = e / np.add.reduce(e, axis=axis, keepdims=True)
+    if not x.shape[-1]:
+        raise ShapeError(f"softmax over an empty axis of shape {x.shape}")
+    e = np.exp(x - _row_max(x))
+    s = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = np.add.reduce(g * s, axis=axis, keepdims=True)
+        dot = np.add.reduce(g * s, axis=-1, keepdims=True)
         return (s * (g - dot),)
 
     return Tensor._from_op(s, (a,), vjp)
 
 
-def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError(f"layernorm eps must be > 0; got {eps}")
+def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     x, gd, bd = a.data, gain.data, bias.data
     width = x.shape[-1:]
     if gd.shape != width or bd.shape != width:
@@ -653,7 +629,7 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     xhat = x - _mean_last(x)
     out = np.multiply(xhat, xhat)
     inv = _mean_last(out)
-    np.add(inv, eps, out=inv)
+    np.add(inv, 1e-5, out=inv)
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     np.multiply(xhat, inv, out=xhat)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_model_checkpoint, meta_json, save_model_checkpoint
+from .checkpoint import CheckpointError, load_model_checkpoint, save_model_checkpoint
 from .model import Model, ModelSpec
 from .optim import AdamW, CosineSchedule, clip_grad_norm
 from .tasks import TaskSpec, build_task
@@ -176,12 +176,11 @@ def model_spec_for_task(task, **kw) -> ModelSpec:
 
 
 def _check_resume_settings(meta: dict, settings: dict, path) -> None:
-    """Refuse a resume whose task or train settings differ from the checkpoint's."""
+    """Refuse a resume whose task or train settings differ from those in the
+    checkpoint's decoded metadata ``meta``; a setting it lacks is not compared."""
     changes = []
     for key, current in settings.items():
-        if key not in meta:
-            continue
-        saved = meta_json(meta, key)
+        saved = meta.get(key, current)
         changes += [f"{key}.{field} {saved.get(field)!r} -> {current.get(field)!r}"
                     for field in sorted(saved.keys() | current.keys())
                     if saved.get(field) != current.get(field)]

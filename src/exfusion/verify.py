@@ -39,6 +39,18 @@ from .train import batch_loss, train_step
 
 FUSION_TOL = {"f32": 1e-5, "f64": 1e-10}
 GRAD_TOL = {"f32": 1e-4, "f64": 1e-8}
+DTYPES = ("f32", "f64")
+FUSION_TRIALS = 200
+PRIMITIVE_SEEDS = 25
+MODEL_SEEDS = 5
+EMA_STEPS = 10_000
+EMA_EXPERTS = 4
+VARIANCE_TRIALS = 100_000
+VARIANCE_SIGMA = 1.0
+VARIANCE_BIAS = 0.5
+VARIANCE_KS = (1, 2, 4, 8)
+EXPORT_TRAIN_STEPS = 10
+EXPORT_BATCHES = 16
 PRIMITIVE_FD_STEP = {"f32": 1e-3, "f64": 1e-5}
 MODEL_FD_STEP = {"f32": 1e-4, "f64": 1e-6}
 
@@ -77,13 +89,13 @@ def _numeric_grad(fn, arr: np.ndarray, h: float) -> np.ndarray:
 # -- fusion suite -----------------------------------------------------------------
 
 
-def suite_fusion(seed: int = 0, trials: int = 200, dtypes=("f32", "f64")) -> list[CheckResult]:
+def suite_fusion(seed: int = 0) -> list[CheckResult]:
     results = []
-    for dtype in dtypes:
+    for dtype in DTYPES:
         tol = FUSION_TOL[dtype]
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for trial in range(trials):
+        for trial in range(FUSION_TRIALS):
             n = int(rng.integers(1, 7))
             d_in = int(rng.integers(2, 12))
             d_out = int(rng.integers(2, 12))
@@ -92,8 +104,7 @@ def suite_fusion(seed: int = 0, trials: int = 200, dtypes=("f32", "f64")) -> lis
             w = rng.normal(size=n)
             x = rng.normal(size=(5, d_in)) / np.sqrt(d_in)
             fused = F.fuse(experts, w.astype(experts.weight.data.dtype))
-            got = (matmul(Tensor(x.astype(experts.weight.data.dtype)), fused.weight).data
-                   + fused.bias.data)
+            got = affine(Tensor(x.astype(experts.weight.data.dtype)), *fused).data
             want = np.zeros((5, d_out))
             for i in range(n):  # output-space reference, one expert at a time
                 want += w[i] * (x @ experts.weight.data[i].astype(np.float64)
@@ -101,13 +112,13 @@ def suite_fusion(seed: int = 0, trials: int = 200, dtypes=("f32", "f64")) -> lis
             worst = max(worst, float(np.abs(got - want).max()))
         results.append(CheckResult(
             f"fusion/param_vs_output_space dtype={dtype}", worst < tol,
-            f"max_abs_diff={worst:.3e} tol={tol:g} trials={trials}"))
+            f"max_abs_diff={worst:.3e} tol={tol:g} trials={FUSION_TRIALS}"))
 
         experts = ExpertAffine("e", 4, 6, 6, ArraySource(dtype, seed))
         x = Tensor(rng.normal(size=(3, 6)).astype(experts.weight.data.dtype))
         w = rng.normal(size=4).astype(experts.weight.data.dtype)
-        base = matmul(x, F.fuse(experts, w).weight).data
-        doubled = matmul(x, F.fuse(experts, 2.0 * w).weight).data
+        base = affine(x, *F.fuse(experts, w)).data
+        doubled = affine(x, *F.fuse(experts, 2.0 * w)).data
         exact = doubled.tobytes() == (2.0 * base).tobytes()
         results.append(CheckResult(
             f"fusion/scaling_covariance dtype={dtype}", exact,
@@ -146,20 +157,20 @@ def _primitive_cases(rng):
                              Tensor(ug.astype(ts[0].dtype))))),
         ("add_mul", [x, u], lambda ts: tsum(mul(add(ts[0], ts[1]), ts[0]))),
         ("gelu", [x], lambda ts: tsum(gelu(ts[0]))),
-        ("softmax", [x], lambda ts: tsum(mul(softmax(ts[0], -1),
+        ("softmax", [x], lambda ts: tsum(mul(softmax(ts[0]),
                                              Tensor(u.astype(ts[0].data.dtype))))),
         ("layernorm", [x, g, b], lambda ts: tsum(layernorm(ts[0], ts[1], ts[2]))),
         ("cross_entropy", [logits], lambda ts: cross_entropy(ts[0], t)),
     ]
 
 
-def check_primitive_grads(dtype: str, seeds: int = 25) -> float:
+def check_primitive_grads(dtype: str) -> float:
     """Worst relative error across primitives, seeds, and inputs."""
     from .tensor import as_np_dtype
 
     h = PRIMITIVE_FD_STEP[dtype]
     worst = 0.0
-    for seed in range(seeds):
+    for seed in range(PRIMITIVE_SEEDS):
         rng = np.random.default_rng(seed)
         for name, arrays, build in _primitive_cases(rng):
             ts = [Tensor(a.astype(as_np_dtype(dtype)), requires_grad=True) for a in arrays]
@@ -211,44 +222,43 @@ def check_model_grads(variant: str, dtype: str, seed: int) -> float:
     return worst
 
 
-def suite_gradients(seed: int = 0, dtypes=("f32", "f64"), model_seeds: int = 5,
-                    primitive_seeds: int = 25) -> list[CheckResult]:
+def suite_gradients(seed: int = 0, dtypes=DTYPES) -> list[CheckResult]:
     results = []
     for dtype in dtypes:
         tol = GRAD_TOL[dtype]
-        worst = check_primitive_grads(dtype, seeds=primitive_seeds)
+        worst = check_primitive_grads(dtype)
         results.append(CheckResult(
             f"gradients/primitives dtype={dtype}", worst < tol,
-            f"max_rel_err={worst:.3e} tol={tol:g} seeds={primitive_seeds}"))
+            f"max_rel_err={worst:.3e} tol={tol:g} seeds={PRIMITIVE_SEEDS}"))
         for variant in ("sw", "dw", "mb"):
-            worst = max(check_model_grads(variant, dtype, seed + s) for s in range(model_seeds))
+            worst = max(check_model_grads(variant, dtype, seed + s) for s in range(MODEL_SEEDS))
             results.append(CheckResult(
                 f"gradients/full_model variant={variant} dtype={dtype}", worst < tol,
-                f"max_rel_err={worst:.3e} tol={tol:g} seeds={model_seeds}"))
+                f"max_rel_err={worst:.3e} tol={tol:g} seeds={MODEL_SEEDS}"))
     return results
 
 
 # -- ema suite ---------------------------------------------------------------------
 
 
-def suite_ema(seed: int = 0, steps: int = 10_000, n: int = 4) -> list[CheckResult]:
+def suite_ema(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     delta = 0.95
-    logits = rng.normal(size=(steps, n))
+    logits = rng.normal(size=(EMA_STEPS, EMA_EXPERTS))
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     history = e / e.sum(axis=1, keepdims=True)
 
-    bank = np.zeros(n)
+    bank = np.zeros(EMA_EXPERTS)
     for w in history:
         bank = F.ema_update(bank, Tensor(w), delta).data
-    coeff = (1.0 - delta) * delta ** np.arange(steps - 1, -1, -1, dtype=np.float64)
+    coeff = (1.0 - delta) * delta ** np.arange(EMA_STEPS - 1, -1, -1, dtype=np.float64)
     closed = coeff @ history
     dev = float(np.abs(bank - closed).max())
     results = [CheckResult("ema/incremental_vs_closed_form", dev < 1e-10,
-                           f"max_abs_diff={dev:.3e} tol=1e-10 steps={steps}")]
+                           f"max_abs_diff={dev:.3e} tol=1e-10 steps={EMA_STEPS}")]
 
     worst = 0.0
-    bank = np.zeros(n)
+    bank = np.zeros(EMA_EXPERTS)
     for t, w in enumerate(history[:2000], start=1):
         bank = F.ema_update(bank, Tensor(w), delta).data
         worst = max(worst, abs(bank.sum() - (1.0 - delta ** t)))
@@ -260,29 +270,30 @@ def suite_ema(seed: int = 0, steps: int = 10_000, n: int = 4) -> list[CheckResul
 # -- variance suite ----------------------------------------------------------------
 
 
-def suite_variance(seed: int = 0, trials: int = 100_000, sigma: float = 1.0,
-                   bias: float = 0.5, ks=(1, 2, 4, 8)) -> list[CheckResult]:
+def suite_variance(seed: int = 0) -> list[CheckResult]:
     results = []
-    for k in ks:
-        rep = F.variance_reduction_demo(k=k, sigma=sigma, trials=trials, seed=seed, bias=bias)
+    for k in VARIANCE_KS:
+        rep = F.variance_reduction_demo(k=k, sigma=VARIANCE_SIGMA, trials=VARIANCE_TRIALS,
+                                        seed=seed, bias=VARIANCE_BIAS)
         rel = abs(rep.empirical_var - rep.predicted_var) / rep.predicted_var
-        mean_tol = 3.0 * sigma / np.sqrt(k * trials)
-        ok = rel < 0.05 and abs(rep.empirical_mean - bias) < mean_tol
+        mean_tol = 3.0 * VARIANCE_SIGMA / np.sqrt(k * VARIANCE_TRIALS)
+        mean_dev = abs(rep.empirical_mean - VARIANCE_BIAS)
+        ok = rel < 0.05 and mean_dev < mean_tol
         results.append(CheckResult(
             f"variance/averaged_k={k}", ok,
             f"empirical={rep.empirical_var:.5f} predicted={rep.predicted_var:.5f} "
-            f"rel_dev={rel:.4f} mean_dev={abs(rep.empirical_mean - bias):.2e}"))
+            f"rel_dev={rel:.4f} mean_dev={mean_dev:.2e}"))
     return results
 
 
 # -- export suite ------------------------------------------------------------------
 
 
-def _briefly_train(model: Model, steps: int, seed: int) -> None:
+def _briefly_train(model: Model, seed: int) -> None:
     spec = model.spec
     rng = np.random.default_rng(seed)
     opt = AdamW(model.named_parameters(), weight_decay=0.01)
-    for step in range(1, steps + 1):
+    for step in range(1, EXPORT_TRAIN_STEPS + 1):
         tokens = rng.integers(0, spec.vocab_size, size=(4, spec.max_seq_len))
         labels = rng.integers(0, spec.num_classes, size=4)
         train_step(model, opt, tokens, labels, 1e-3, 0.0, step)
@@ -296,24 +307,24 @@ def _collapse_via_checkpoint(model: Model) -> Model:
         return collapse_to_dense(load_model_checkpoint(path).model)
 
 
-def suite_export(seed: int = 0, dtypes=("f32", "f64"), batches: int = 16) -> list[CheckResult]:
+def suite_export(seed: int = 0) -> list[CheckResult]:
     """Collapse faithfulness, in memory and through a checkpoint; the second
     must give the in-memory collapse's logits bit for bit."""
     tol = {"f32": 1e-5, "f64": 1e-10}
     results = []
-    for dtype in dtypes:
+    for dtype in DTYPES:
         for variant in ("sw", "dw", "mb"):
             spec = ModelSpec(depth=2, dim=16, heads=2, expansion=2, vocab_size=13,
                              num_classes=4, max_seq_len=6, variant=variant,
                              num_experts=4, seed=seed)
             model = Model(spec, dtype=dtype)
-            _briefly_train(model, steps=10, seed=seed)
+            _briefly_train(model, seed)
             dense = collapse_to_dense(model)
             reloaded = _collapse_via_checkpoint(model)
             rng = np.random.default_rng(seed + 7)
             worst = 0.0
             bit_equal = True
-            for _ in range(batches):
+            for _ in range(EXPORT_BATCHES):
                 tokens = rng.integers(0, spec.vocab_size, size=(4, 6))
                 with no_grad():
                     a = model.forward(tokens, training=False).data

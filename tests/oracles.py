@@ -131,7 +131,7 @@ def affine_composite(x, weight, bias):
 
 
 def attention_composite(q, k, v, heads, mask=None):
-    """Multi-head attention from projected q/k/v [b, l, d]: (context, probabilities).
+    """Multi-head attention from projected q/k/v [b, l, d] to the context [b, l, d].
 
     Head split, k transpose, scale, an additive mask tensor, softmax, the
     two matmuls and the head merge, each its own tape node.
@@ -146,8 +146,8 @@ def attention_composite(q, k, v, heads, mask=None):
     scores = scale(matmul(qh, transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
     if mask is not None:
         scores = add(scores, Tensor(mask.astype(scores.data.dtype)))
-    probs = softmax(scores, axis=-1)
-    return reshape(transpose(matmul(probs, vh), (0, 2, 1, 3)), (b, l, d)), probs
+    probs = softmax(scores)
+    return reshape(transpose(matmul(probs, vh), (0, 2, 1, 3)), (b, l, d))
 
 
 def layernorm_reference(x, gain, bias, g, eps=1e-5):

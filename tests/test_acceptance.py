@@ -24,6 +24,9 @@ from exfusion.tasks import TaskSpec, build_task
 from exfusion.tensor import no_grad
 from exfusion.train import TrainConfig, model_spec_for_task, train_loop
 from exfusion.verify import (
+    EMA_STEPS,
+    FUSION_TRIALS,
+    MODEL_SEEDS,
     suite_ema,
     suite_fusion,
     suite_gradients,
@@ -38,11 +41,11 @@ def report(num: int, name: str, ok: bool, detail: str):
 
 def test_criterion_1_fusion_identity():
     t0 = time.perf_counter()
-    results = suite_fusion(seed=0, trials=200, dtypes=("f32", "f64"))
+    results = suite_fusion(seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in results) and elapsed < 60
     detail = "; ".join(r.detail for r in results if "param_vs_output" in r.name)
-    report(1, "fusion identity (200 triples, f64<1e-10, f32<1e-5)", ok,
+    report(1, f"fusion identity ({FUSION_TRIALS} triples, f64<1e-10, f32<1e-5)", ok,
            f"{detail}; runtime={elapsed:.1f}s")
 
 
@@ -88,7 +91,7 @@ def _pool_map(fn, *iterables):
 
 
 def _gradient_suite(dtype):
-    return suite_gradients(seed=0, dtypes=(dtype,), model_seeds=5)
+    return suite_gradients(seed=0, dtypes=(dtype,))
 
 
 def test_criterion_3_gradient_correctness():
@@ -100,20 +103,21 @@ def test_criterion_3_gradient_correctness():
     ok = all(r.passed for r in results) and len(model_checks) == 6 and elapsed < 300
     worst = "; ".join(f"{r.name.split('variant=')[1]}:{r.detail.split()[0]}"
                       for r in model_checks)
-    report(3, "full-model gradients vs finite differences (3 variants, 5 seeds)", ok,
+    report(3, f"full-model gradients vs finite differences (3 variants, {MODEL_SEEDS} seeds)", ok,
            f"{worst}; runtime={elapsed:.0f}s")
 
 
 def test_criterion_4_ema_exactness():
-    results = suite_ema(seed=0, steps=10_000)
+    results = suite_ema(seed=0)
     ok = all(r.passed for r in results)
-    report(4, "EMA exactness (10k steps, closed form <1e-10, mass 1-delta^t <1e-8)", ok,
+    report(4, f"EMA exactness ({EMA_STEPS // 1000}k steps, closed form <1e-10, "
+              "mass 1-delta^t <1e-8)", ok,
            "; ".join(r.detail for r in results))
 
 
 def test_criterion_5_variance_reduction():
     t0 = time.perf_counter()
-    results = suite_variance(seed=0, trials=100_000, ks=(1, 2, 4, 8))
+    results = suite_variance(seed=0)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in results) and elapsed < 60
     report(5, "variance of k-averaged predictors within 5% of sigma^2/k, bias kept", ok,
@@ -179,7 +183,7 @@ def test_criterion_7_training_overhead():
           and all(r < moe_ratio for r in fusion_ratios.values()))
     detail = ", ".join(f"{v}=x{r:.2f}" for v, r in fusion_ratios.items())
     report(7, "step-time overhead: fusion <= x1.30 dense and < top-k mixture", ok,
-           f"{detail}, moe=x{moe_ratio:.2f} (dense={rows['dense'].mean_ms:.1f} ms)")
+           f"{detail}, moe=x{moe_ratio:.2f} (dense={rows['dense'].median_ms:.1f} ms)")
 
 
 def _quality_run(variant, seed, out):

@@ -256,7 +256,7 @@ class TestModelCheckpoint:
 
         path = tmp_path / "ckpt.bin"
         save_model_checkpoint(path, model, step=3, optimizer=opt,
-                              extra_meta={"rng_state": {"seed": 3}})
+                              extra_meta={"task_spec": {"seed": 3}})
         loaded = load_model_checkpoint(path)
         assert loaded.step == 3
         assert loaded.model.spec == spec
@@ -269,7 +269,20 @@ class TestModelCheckpoint:
             assert b.sum() > 0  # banks actually moved during training
         for key, arr in opt.state_arrays().items():
             assert loaded.opt_arrays[key].tobytes() == arr.tobytes()
-        assert meta_json(loaded.meta, "rng_state") == {"seed": 3}
+        assert loaded.meta["task_spec"] == {"seed": 3}
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "over_existing"])
+    @pytest.mark.parametrize("key", ["rng_state", "format", "step"])
+    def test_unknown_or_reserved_extra_meta_writes_nothing(self, tmp_path, key, existing):
+        model = Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2, vocab_size=5,
+                                num_classes=2, max_seq_len=4))
+        path = tmp_path / "ckpt.bin"
+        if existing:
+            save_model_checkpoint(path, model)
+        before = _listing(tmp_path)
+        with pytest.raises(CheckpointError, match=f"ckpt.bin: extra metadata '{key}'"):
+            save_model_checkpoint(path, model, extra_meta={"task_spec": {}, key: 1})
+        assert _listing(tmp_path) == before
 
     def test_collapsed_checkpoint_smaller_than_source(self, tmp_path):
         from exfusion.model import collapse_to_dense
@@ -594,13 +607,14 @@ class TestRefusedWrite:
         assert _listing(tmp_path) == before
 
 
-def _header_offsets(raw: bytes) -> list[int]:
-    """Offsets of the file header and of the length, name, code, rank and
-    dims of one record of each kind, found with the documented layout: every
-    meta record, and the first tensor record of each namespace (model state,
-    ``opt/m/``, ``opt/v/``, ``opt/step``), dtype code and rank."""
+def _header_offsets(raw: bytes) -> dict[int, str]:
+    """Offsets of the file header (record "") and of the length, name, code,
+    rank and dims of one record of each kind, found with the documented
+    layout, each with the name of its record: every meta record, and the
+    first tensor record of each namespace (model state, ``opt/m/``,
+    ``opt/v/``, ``opt/step``), dtype code and rank."""
     (count,) = struct.unpack_from("<I", raw, 8)
-    offsets, at, seen = list(range(12)), 12, set()
+    offsets, at, seen = dict.fromkeys(range(12), ""), 12, set()
     itemsize = {0: 4, 1: 8, 2: 8, 3: 1}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", raw, at)
@@ -614,7 +628,7 @@ def _header_offsets(raw: bytes) -> list[int]:
             kind = (name[:6] if name.startswith("opt/") else "", code, rank)
         if kind not in seen:
             seen.add(kind)
-            offsets += range(at, at + header)
+            offsets.update(dict.fromkeys(range(at, at + header), name))
         at += header + math.prod(dims) * itemsize[code]
     assert at == len(raw)
     return offsets
@@ -653,15 +667,17 @@ class TestCorruptionSweep:
         path = tmp_path / "x.bin"
         path.write_bytes(saved)
         offsets = _header_offsets(saved)
-        loaded = 0
+        loaded = []  # the record of each flip that loads
         fd = os.open(path, os.O_RDWR)
         try:
-            for at in offsets:
+            for at, record in offsets.items():
                 for bit in range(8):
                     os.pwrite(fd, bytes([saved[at] ^ (1 << bit)]), at)
-                    loaded += self._loads_or_refuses(path)
+                    if self._loads_or_refuses(path):
+                        loaded.append(record)
                 os.pwrite(fd, saved[at:at + 1], at)
         finally:
             os.close(fd)
         assert path.read_bytes() == saved
-        assert loaded < len(offsets)  # most flips are refused
+        assert len(loaded) < len(offsets)  # most flips are refused
+        assert [r for r in loaded if r.startswith("meta/")] == []  # none in a meta record

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from exfusion import cli
+from exfusion.checkpoint import load_model_checkpoint
 from exfusion.verify import CheckResult
 
 CONFIG = """
@@ -160,6 +161,10 @@ class TestExportCommand:
         after = int(text.split("params after:")[1].split()[0])
         baseline = int(text.split("dense baseline:")[1].split(")")[0])
         assert after == baseline < before
+        source, exported = load_model_checkpoint(src), load_model_checkpoint(dst)
+        assert exported.meta["exported_from"] == str(src)
+        for key in ("task_spec", "train_config"):
+            assert exported.meta[key] == source.meta[key]
 
     def test_dense_input_is_written_unchanged(self, tmp_path):
         from exfusion.checkpoint import read_checkpoint
@@ -272,11 +277,16 @@ CORRUPT_RECORDS = [
     ("missing_dtype", _drop_meta("dtype"), "meta/dtype"),
     ("missing_step", _drop_meta("step"), "meta/step"),
     ("negative_step", lambda tensors, meta: meta.update(step=-3), "meta/step"),
+    ("float_step", lambda tensors, meta: meta.update(step=2.5), "meta/step"),
+    ("infinite_step", lambda tensors, meta: meta.update(step=float("inf")), "meta/step"),
+    ("two_steps", lambda tensors, meta: meta.update(step=np.array([3, 4])), "meta/step"),
     ("wrong_shape", _resize("head.bias"), "head.bias"),
     ("foreign_dtype_param", _as_f64("blocks.0.attn.q.weight"), "blocks.0.attn.q.weight"),
     ("foreign_dtype_bank", _as_f64("blocks.1.ffn.fusion.bank"), "blocks.1.ffn.fusion.bank"),
     ("foreign_dtype_moment", _as_f64("opt/m/head.weight"), "opt/m/head.weight"),
     ("invalid_dtype", lambda tensors, meta: meta.update(dtype="f16"), "meta/dtype"),
+    ("float_dtype", lambda tensors, meta: meta.update(dtype=np.array([102.0, 51.0, 50.0])),
+     "meta/dtype"),  # the codes of "f32", as float64
     ("nonfinite_param", _set("blocks.0.ffn.up.weight", np.nan), "blocks.0.ffn.up.weight"),
     ("nonfinite_bank", _set("blocks.0.ffn.fusion.bank", np.inf), "blocks.0.ffn.fusion.bank"),
     ("unknown_param", _add_copy("blocks.0.ffn.up.weigth", "blocks.0.ffn.up.weight"),
@@ -286,8 +296,13 @@ CORRUPT_RECORDS = [
     ("task_spec_list", lambda tensors, meta: meta.update(task_spec=[1, 2]), "meta/task_spec"),
     ("task_spec_not_json", lambda tensors, meta: meta.update(task_spec="{not json"),
      "meta/task_spec"),
+    ("task_spec_nested_too_deep",
+     lambda tensors, meta: meta.update(task_spec="[" * 100_000 + "]" * 100_000), "meta/task_spec"),
     ("train_config_list", lambda tensors, meta: meta.update(train_config=["steps"]),
      "meta/train_config"),
+    ("unknown_meta", lambda tensors, meta: meta.update(bogus="x"), "meta/bogus"),
+    ("invalid_format", lambda tensors, meta: meta.update(format="junk"), "meta/format"),
+    ("missing_format", _drop_meta("format"), "meta/format"),
 ]
 
 # Faults in the optimizer records, which only a resume reads.
@@ -508,6 +523,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             cli.main(["verify", "nonsense"])
 
+    def test_export_suite_passes_every_check(self):
+        from exfusion.verify import suite_export
+
+        results = suite_export(seed=0)
+        assert [r.name for r in results if not r.passed] == []
+        assert len(results) == 12
+        assert sum(r.name.startswith("export/checkpoint_path ") for r in results) == 6
+
 
 class TestBenchCommand:
     def test_dense_row_is_unity_and_all_variants_present(self, tmp_path, capsys):
@@ -523,6 +546,7 @@ class TestBenchCommand:
     def test_dw_lane_does_not_decay_fusion_weights(self, tmp_path, monkeypatch):
         from exfusion import bench, optim
         from exfusion.config import load_run_config
+        from exfusion.model import VARIANTS
 
         made = []
 
@@ -532,8 +556,9 @@ class TestBenchCommand:
                 made.append(self)
 
         monkeypatch.setattr(bench, "AdamW", Recorded)
-        bench.run_bench(load_run_config(write_config(tmp_path, variant="dw")), variants=("dw",))
-        (opt,) = made
+        bench.run_bench(load_run_config(write_config(tmp_path, variant="dw")))
+        assert len(made) == len(VARIANTS)
+        opt = made[VARIANTS.index("dw")]
         assert opt.weight_decay > 0
         assert opt.no_decay == {"blocks.0.ffn.fusion.weights", "blocks.1.ffn.fusion.weights"}
 

@@ -168,6 +168,20 @@ class TestLoad:
         assert run.train.dtype == "f64"
 
 
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("1", True), ("yes", True), ("on", True),
+        ("false", False), ("0", False), ("no", False), ("off", False), (" Off ", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        run = load_run_config(write(tmp_path, FULL.replace("deterministic = true",
+                                                           f"deterministic = {raw}")))
+        assert run.train.deterministic is value
+
+    def test_non_boolean_names_key(self, tmp_path):
+        bad = FULL.replace("deterministic = true", "deterministic = maybe")
+        with pytest.raises(ConfigError, match="deterministic.*not a boolean"):
+            load_run_config(write(tmp_path, bad))
+
     @pytest.mark.parametrize("key, value", [
         ("beta1", "1.5"), ("beta1", "-0.1"), ("beta2", "1.0"), ("eps", "0"), ("eps", "inf"),
         ("weight_decay", "-5"), ("weight_decay", "nan"), ("base_lr", "nan"), ("min_lr", "nan"),

@@ -91,7 +91,8 @@ class TestStaticFusion:
         up = make_set(n=1, d_in=4, d_out=8, seed=4, name="up")
         down = make_set(n=1, d_in=8, d_out=4, seed=4, name="down")
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)).astype(np.float32))
-        out = fused_ffn_forward(x, up, down, uniform_weights(1, "f32"))
+        w = uniform_weights(1, "f32")
+        out = fused_ffn_forward(x, up, down, w, w)
         h = gelu(add(matmul(x, Tensor(up.weight.data[0])), Tensor(up.bias.data[0])))
         want = add(matmul(h, Tensor(down.weight.data[0])), Tensor(down.bias.data[0]))
         np.testing.assert_array_equal(out.data, want.data)
@@ -100,7 +101,8 @@ class TestStaticFusion:
         up = ExpertAffine("up", 4, 4, 8, ArraySource("f32", 5), replicate=True)
         down = ExpertAffine("down", 4, 8, 4, ArraySource("f32", 5), replicate=True)
         x = Tensor(np.random.default_rng(4).normal(size=(3, 4)).astype(np.float32))
-        out = fused_ffn_forward(x, up, down, uniform_weights(4, "f32"))
+        w = uniform_weights(4, "f32")
+        out = fused_ffn_forward(x, up, down, w, w)
         h = gelu(add(matmul(x, Tensor(up.weight.data[0])), Tensor(up.bias.data[0])))
         want = add(matmul(h, Tensor(down.weight.data[0])), Tensor(down.bias.data[0]))
         np.testing.assert_allclose(out.data, want.data, atol=1e-6)
@@ -110,7 +112,8 @@ class TestStaticFusion:
         up = make_set(n, 4, 8, seed=6, name="up")
         down = make_set(n, 8, 4, seed=6, name="down")
         x_np = np.random.default_rng(5).normal(size=(6, 4)).astype(np.float32)
-        tsum(fused_ffn_forward(Tensor(x_np), up, down, uniform_weights(n, "f32"))).backward()
+        w = uniform_weights(n, "f32")
+        tsum(fused_ffn_forward(Tensor(x_np), up, down, w, w)).backward()
 
         # dense twin built from the fused parameters
         dw_up = Tensor(up.weight.data.mean(axis=0), requires_grad=True)
@@ -131,8 +134,10 @@ class TestLearnedFusion:
         down = make_set(4, 8, 4, seed=7, name="down")
         x = Tensor(np.random.default_rng(6).normal(size=(2, 4)).astype(np.float32))
         lf = LearnedFusion("fusion", 4, ArraySource("f32"))
-        got = fused_ffn_forward(x, up, down, lf.step_weights(x, True))
-        want = fused_ffn_forward(x, up, down, StaticFusion(4, "f32").step_weights(x, True))
+        learned = lf.step_weights(x, True)
+        static = StaticFusion(4, "f32").step_weights(x, True)
+        got = fused_ffn_forward(x, up, down, learned, learned)
+        want = fused_ffn_forward(x, up, down, static, static)
         assert got.data.tobytes() == want.data.tobytes()
 
     def test_one_hot_weights_select_pair(self):
@@ -141,7 +146,7 @@ class TestLearnedFusion:
         x = Tensor(np.random.default_rng(7).normal(size=(2, 4)).astype(np.float32))
         lf = LearnedFusion("fusion", 4, ArraySource("f32"))
         lf.weights.data = np.array([0.0, 0.0, 1.0, 0.0], dtype=np.float32)
-        out = fused_ffn_forward(x, up, down, lf.weights)
+        out = fused_ffn_forward(x, up, down, lf.weights, lf.weights)
         h = gelu(add(matmul(x, Tensor(up.weight.data[2])), Tensor(up.bias.data[2])))
         want = add(matmul(h, Tensor(down.weight.data[2])), Tensor(down.bias.data[2]))
         np.testing.assert_array_equal(out.data, want.data)
@@ -151,7 +156,8 @@ class TestLearnedFusion:
         down = make_set(3, 6, 4, seed=9, name="down")
         x_np = np.random.default_rng(8).normal(size=(5, 4))
         lf = LearnedFusion("fusion", 3, ArraySource("f32"))
-        loss = tsum(fused_ffn_forward(Tensor(x_np.astype(np.float32)), up, down, lf.weights))
+        loss = tsum(fused_ffn_forward(Tensor(x_np.astype(np.float32)), up, down, lf.weights,
+                                      lf.weights))
         loss.backward()
 
         up64 = ExpertAffine("u", 3, 4, 6, ArraySource("f64", 9))
@@ -160,7 +166,8 @@ class TestLearnedFusion:
         down64.weight.data = down.weight.data.astype(np.float64)
 
         def f(w):
-            return float(tsum(fused_ffn_forward(Tensor(x_np), up64, down64, Tensor(w.copy()))).data)
+            wt = Tensor(w.copy())
+            return float(tsum(fused_ffn_forward(Tensor(x_np), up64, down64, wt, wt)).data)
 
         num = numeric_gradient(lambda w: f(w), [lf.weights.data.astype(np.float64)], 0, 1e-3)
         assert max_rel_err(lf.weights.grad, num) < 1e-4
@@ -170,7 +177,8 @@ class TestLearnedFusion:
         down = make_set(3, 6, 4, seed=10, name="down")
         lf = LearnedFusion("fusion", 3, ArraySource("f32"), frozen=True)
         x = Tensor(np.random.default_rng(9).normal(size=(2, 4)).astype(np.float32))
-        tsum(fused_ffn_forward(x, up, down, lf.step_weights(x, True))).backward()
+        w = lf.step_weights(x, True)
+        tsum(fused_ffn_forward(x, up, down, w, w)).backward()
         assert lf.weights.grad is None and not lf.weights.requires_grad
 
 
@@ -250,8 +258,9 @@ class TestMemoryFusion:
         x = Tensor(np.random.default_rng(15).normal(size=(2, 3, 6)).astype(np.float32))
         w = mb.step_weights(x, training=True)
         np.testing.assert_allclose(mb.bank, 0.05 * 0.25, atol=1e-7)
-        out = fused_ffn_forward(x, up, down, w)
-        manual = fused_ffn_forward(x, up, down, np.full(4, 0.05 * 0.25, dtype=np.float32))
+        out = fused_ffn_forward(x, up, down, w, w)
+        bank = np.full(4, 0.05 * 0.25, dtype=np.float32)
+        manual = fused_ffn_forward(x, up, down, bank, bank)
         np.testing.assert_allclose(out.data, manual.data, atol=1e-6)
 
     def test_eval_mode_is_stateless_and_stable(self):
@@ -261,8 +270,9 @@ class TestMemoryFusion:
         x = Tensor(np.random.default_rng(16).normal(size=(2, 3, 6)).astype(np.float32))
         mb.step_weights(x, training=True)
         bank_before = mb.bank.copy()
-        a = fused_ffn_forward(x, up, down, mb.step_weights(x, training=False))
-        b = fused_ffn_forward(x, up, down, mb.step_weights(x, training=False))
+        wa, wb = mb.step_weights(x, training=False), mb.step_weights(x, training=False)
+        a = fused_ffn_forward(x, up, down, wa, wa)
+        b = fused_ffn_forward(x, up, down, wb, wb)
         assert a.data.tobytes() == b.data.tobytes()
         np.testing.assert_array_equal(mb.bank, bank_before)
 
@@ -287,8 +297,8 @@ class TestMemoryFusion:
 
         mb = self._mb(seed=18, delta=delta)
         mb.bank = bank0.copy()
-        tsum(fused_ffn_forward(Tensor(x_np), up, down,
-                               mb.step_weights(Tensor(x_np), True))).backward()
+        w = mb.step_weights(Tensor(x_np), True)
+        tsum(fused_ffn_forward(Tensor(x_np), up, down, w, w)).backward()
         assert mb.router.weight.grad is not None and np.any(mb.router.weight.grad != 0)
 
         up64 = ExpertAffine("u", 4, 6, 8, ArraySource("f64", 18))
@@ -305,7 +315,7 @@ class TestMemoryFusion:
             fixed.bank = bank0.astype(np.float64)
             w = fixed.step_weights(Tensor(x_np.astype(np.float64)), training=True)
             return float(tsum(fused_ffn_forward(Tensor(x_np.astype(np.float64)),
-                                                up64, down64, w)).data)
+                                                up64, down64, w, w)).data)
 
         num = numeric_gradient(f, [mb.router.weight.data.astype(np.float64)], 0, 1e-3)
         assert max_rel_err(mb.router.weight.grad, num) < 1e-4

@@ -17,7 +17,7 @@ from exfusion.model import (
 )
 from exfusion.optim import AdamW
 from exfusion.params import ArraySource
-from exfusion.tensor import ShapeError, Tensor, cross_entropy, no_grad
+from exfusion.tensor import ShapeError, Tensor, cross_entropy, no_grad, tsum
 from exfusion.train import batch_loss
 
 from oracles import affine_composite, attention_composite, max_rel_err, numeric_gradient
@@ -77,25 +77,30 @@ class TestAttention:
         for t in range(1, 5):
             np.testing.assert_allclose(out[:, t], out[:, 0], atol=1e-6)
 
-    def test_attention_rows_sum_to_one(self):
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    def test_attention_rows_sum_to_one(self, masked):
+        # with every value row the same constant c, each context row is
+        # (sum of its attention weights) * c
         attn = AttentionLayer("a", 16, 4, ArraySource("f32", 5))
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)).astype(np.float32))
-        _, probs = attn(x, return_weights=True)
-        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
+        rng = np.random.default_rng(3)
+        attn.v.weight.data = np.zeros_like(attn.v.weight.data)
+        attn.v.bias.data = rng.normal(size=16).astype(np.float32)
+        x = Tensor(rng.normal(size=(2, 7, 16)).astype(np.float32))
+        out = attn(x, causal_mask(7, x.dtype) if masked else None).data
+        want = attn.v.bias.data @ attn.o.weight.data + attn.o.bias.data
+        np.testing.assert_allclose(out, np.broadcast_to(want, out.shape), atol=1e-6)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
-    def test_layer_and_weights_equal_the_composite(self, dtype, masked):
+    def test_layer_equals_the_composite(self, dtype, masked):
         attn = AttentionLayer("a", 16, 4, ArraySource(dtype, 5))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)), dtype=dtype)
         mask = causal_mask(7, x.dtype) if masked else None
-        out, probs = attn(x, mask, return_weights=True)
+        out = attn(x, mask)
         q, k, v, o = ((lin.weight, lin.bias) for lin in (attn.q, attn.k, attn.v, attn.o))
-        ctx, ref_probs = attention_composite(affine_composite(x, *q), affine_composite(x, *k),
-                                             affine_composite(x, *v), 4, mask)
+        ctx = attention_composite(affine_composite(x, *q), affine_composite(x, *k),
+                                  affine_composite(x, *v), 4, mask)
         assert out.data.tobytes() == affine_composite(ctx, *o).data.tobytes()
-        assert probs.data.shape == (2, 4, 7, 7)
-        assert probs.data.tobytes() == ref_probs.data.tobytes()
 
     def test_causal_mask_is_cached_read_only_per_length_and_dtype(self):
         m = causal_mask(5, np.dtype(np.float32))
@@ -131,7 +136,7 @@ class TestFFNSlot:
         m = Model(small_spec(), dtype="f32")
         slot = m.blocks[0].ffn
         x_np = np.random.default_rng(5).normal(size=(4, 16)).astype(np.float32) * 0.5
-        slot.forward(Tensor(x_np[None]), False).sum().backward()
+        tsum(slot.forward(Tensor(x_np[None]), False)).backward()
         params = [slot.up.weight, slot.up.bias, slot.down.weight, slot.down.bias]
         arrays = [p.data.astype(np.float64) for p in params]
 
@@ -140,7 +145,7 @@ class TestFFNSlot:
             s = m64.blocks[0].ffn
             s.up.weight.data, s.up.bias.data = uw, ub
             s.down.weight.data, s.down.bias.data = dw, db
-            return float(s.forward(Tensor(x_np.astype(np.float64)[None]), False).sum().data)
+            return float(tsum(s.forward(Tensor(x_np.astype(np.float64)[None]), False)).data)
 
         for i, p in enumerate(params):
             num = numeric_gradient(f, arrays, i, 1e-3)
@@ -194,7 +199,7 @@ class TestModelForward:
         rng = np.random.default_rng(7)
         tokens = rng.integers(0, spec.vocab_size, size=(64, 6))
         labels = rng.integers(0, 8, size=64)
-        loss = cross_entropy(m.forward(tokens), labels).item()
+        loss = float(cross_entropy(m.forward(tokens), labels).data)
         assert abs(loss - math.log(8)) < 0.1 * math.log(8)
 
     def test_causal_logits_ignore_future_tokens(self):

@@ -123,7 +123,7 @@ class TestTopKGradients:
             r = Router("r", 4, 3, ArraySource("f64", 0))
             for tgt, src in zip([u.weight, u.bias, d.weight, d.bias, r.weight, r.bias], arrs):
                 tgt.data = src
-            return float(topk_moe_forward(Tensor(x), u, d, r, k=2).sum().data)
+            return float(tsum(topk_moe_forward(Tensor(x), u, d, r, k=2)).data)
 
         for i, p in enumerate(params):
             num = numeric_gradient(f, arrays64, i, 1e-3)

@@ -141,7 +141,7 @@ class TestForward:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(8, 16)).astype(np.float32) * 5)
-        s = softmax(x, axis=-1).data
+        s = softmax(x).data
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_layernorm_constant_row_zeros(self):
@@ -169,11 +169,11 @@ class TestForward:
     def test_cross_entropy_uniform_logits(self):
         logits = Tensor(np.zeros((3, 4), dtype=np.float32))
         loss = cross_entropy(logits, np.array([0, 1, 3]))
-        assert abs(loss.item() - math.log(4)) < 1e-6
+        assert abs(float(loss.data) - math.log(4)) < 1e-6
 
     def test_cross_entropy_confident(self):
         logits = Tensor(np.array([[10.0, 0.0, 0.0, 0.0]], dtype=np.float32))
-        assert cross_entropy(logits, np.array([0])).item() < 1e-3
+        assert float(cross_entropy(logits, np.array([0])).data) < 1e-3
 
     def test_cross_entropy_rejects_bad_target(self):
         logits = Tensor(np.zeros((2, 3), dtype=np.float32))
@@ -232,7 +232,7 @@ class TestBackward:
         tsum(w).backward()
         tsum(w).backward()
         np.testing.assert_array_equal(w.grad, 2 * np.ones(4, dtype=np.float32))
-        w.zero_grad()
+        w.grad = None
         tsum(w).backward()
         np.testing.assert_array_equal(w.grad, np.ones(4, dtype=np.float32))
 
@@ -454,12 +454,9 @@ class TestFusedPrimitives:
             return T.attention(*qkv, heads, mask)
 
         def reference(*qkv):
-            return attention_composite(*qkv, heads, mask)[0]
+            return attention_composite(*qkv, heads, mask)
 
         _assert_byte_equal(fused, reference, [q, k, v], u)
-        _, probs = T.attention(*(Tensor(a) for a in (q, k, v)), heads, mask, return_weights=True)
-        _, ref_probs = attention_composite(*(Tensor(a) for a in (q, k, v)), heads, mask)
-        assert _same_bytes(probs, ref_probs.data)
 
     def test_attention_non_contiguous_inputs(self, dtype):
         rng = np.random.default_rng(11)
@@ -471,7 +468,7 @@ class TestFusedPrimitives:
         mask = np.triu(np.full((l, l), -1e9), k=1).astype(dtype)
         u = rng.normal(size=(b, l, d)).astype(dtype)
         _assert_byte_equal(lambda *t: T.attention(*t, heads, mask),
-                           lambda *t: attention_composite(*t, heads, mask)[0], [q, k, v], u)
+                           lambda *t: attention_composite(*t, heads, mask), [q, k, v], u)
 
     @pytest.mark.parametrize("layout", ["2d", "3d", "permuted", "transposed", "strided"])
     def test_layernorm_matches_reference(self, dtype, layout):
@@ -674,10 +671,10 @@ class TestEmptyInputs:
     def test_row_max_and_softmax_refuse_zero_width_rows(self):
         with pytest.raises(ShapeError, match="zero-width"):
             T._row_max(np.zeros((3, 0)))
-        for shape, axis in [((3, 0), -1), ((3, 0), 1), ((0, 3), 0)]:
+        for shape in [(3, 0), (2, 3, 0)]:
             with pytest.raises(ShapeError, match="empty axis"):
-                softmax(Tensor(np.zeros(shape)), axis)
-        assert softmax(Tensor(np.zeros((0, 3))), -1).shape == (0, 3)  # no rows is fine
+                softmax(Tensor(np.zeros(shape)))
+        assert softmax(Tensor(np.zeros((0, 3)))).shape == (0, 3)  # no rows is fine
 
     @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
     def test_cross_entropy_refuses_no_rows_or_no_classes(self, shape):
@@ -820,7 +817,7 @@ class TestGradChecks:
             u = rng.normal(size=(4, 6))
             uc = u.copy()
             check_grads(
-                lambda ts: tsum(mul(softmax(ts[0], axis=-1), Tensor(uc.astype(ts[0].data.dtype)))),
+                lambda ts: tsum(mul(softmax(ts[0]), Tensor(uc.astype(ts[0].data.dtype)))),
                 [x],
                 dtype,
             )
@@ -928,8 +925,8 @@ class TestGradChecks:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(4, 3, 5))
             check_grads(
-                lambda ts: tsum(mul(index_first(ts[0], 2), index_first(ts[0], 2)))
-                + tsum(index_last(ts[0], 1)),
+                lambda ts: add(tsum(mul(index_first(ts[0], 2), index_first(ts[0], 2))),
+                               tsum(index_last(ts[0], 1))),
                 [x],
                 dtype,
             )
