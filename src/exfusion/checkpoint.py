@@ -46,8 +46,6 @@ def _encode_meta_value(value) -> np.ndarray:
         return value
     if isinstance(value, str):
         return np.frombuffer(value.encode("utf-8"), dtype=np.uint8).copy()
-    if isinstance(value, bool):
-        return np.array([int(value)], dtype=np.int64)
     if isinstance(value, (int, np.integer)):
         return np.array([value], dtype=np.int64)
     if isinstance(value, (float, np.floating)):

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from .bench import format_table, run_bench
-from .checkpoint import CheckpointError, load_model_checkpoint, save_model_checkpoint
+from .checkpoint import load_model_checkpoint, save_model_checkpoint
 from .config import ConfigError, load_run_config, write_resolved_config
 from .model import collapse_to_dense, expected_param_count
 from .tasks import build_task
-from .tensor import NonFiniteError, no_grad
-from .train import TrainingDivergence, _check_compatible, evaluate, train_loop
+from .tensor import no_grad
+from .train import _check_compatible, evaluate, train_loop
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -116,13 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None, help="override model/task seed")
         p.add_argument("--dtype", choices=("f32", "f64"), default=None)
         p.add_argument("--deterministic", action="store_true",
                        help="single-threaded BLAS, zeroed step_ms in metrics")
-        if config_required:
-            p.add_argument("--config", required=True, help="INI run configuration")
+        p.add_argument("--config", required=True, help="INI run configuration")
 
     p = sub.add_parser("train", help="run a training job")
     common(p)
@@ -161,11 +160,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CheckpointError, TrainingDivergence, NonFiniteError, OSError,
-            ArithmeticError, RuntimeError) as exc:
+    except (OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -111,10 +111,10 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -141,7 +141,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 
 def write_resolved_config(path, run: RunConfig) -> None:
     """Write the fully-resolved configuration the run actually used."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
         obj = getattr(run, section)
         parser[section] = {key: _format(obj, key) for key in _schema(section)}

@@ -19,9 +19,9 @@ BLOCK = 1 << 14
 class AdamW:
     """Decoupled-decay Adam over named parameters of one dtype.
 
-    Only tensors with ``requires_grad`` participate; parameters whose grad
-    is ``None`` at step time are skipped entirely (no decay either).
-    Memory banks never appear here: they are buffers, not parameters.
+    Only tensors with ``requires_grad`` participate, and each must have a
+    gradient at every step: a missing one is a ``ShapeError`` naming the
+    parameter. Memory banks never appear here: they are buffers, not parameters.
     Names listed in ``no_decay`` update without the decay term; by default
     those are ``no_decay_names(named_params)``, the learnable fusion weights.
     The settings are fixed at construction. A parameter list that mixes
@@ -29,8 +29,8 @@ class AdamW:
 
     m and v live in one flat array each, in parameter order; ``self.m``
     and ``self.v`` hold each name's reshaped view. ``step`` walks the
-    parameters that have a gradient in blocks of at most ``BLOCK`` elements
-    (a block never mixes decay and no-decay parameters): it gathers a
+    parameters in blocks of at most ``BLOCK`` elements, laid out once at
+    construction (a block never mixes decay and no-decay parameters): it gathers a
     block's gradients and parameters with one ``np.concatenate`` each and
     runs the per-element update with ``out=`` ufuncs, in the order and dtype
     of the per-parameter formula. New parameters go into one fresh flat
@@ -70,17 +70,17 @@ class AdamW:
                   for (name, _), (off, end, shape, _) in zip(self.params, self._slots)}
         self.v = {name: self._v[off:end].reshape(shape)
                   for (name, _), (off, end, shape, _) in zip(self.params, self._slots)}
-        self._layout_key: tuple[bool, ...] | None = None
-        self._layout: tuple[list, list] = ([], [])
+        self._blocks = self._layout()
 
-    def _grads(self) -> list[np.ndarray | None]:
-        """Each parameter's gradient, refused unless it has the shape and
-        dtype of the parameter (and of the slot built for it)."""
+    def _grads(self) -> list[np.ndarray]:
+        """Each parameter's gradient, refused unless it exists and has the
+        shape and dtype of the parameter (and of the slot built for it)."""
         grads = []
         for (name, t), (_, _, shape, _) in zip(self.params, self._slots):
             g = t.grad
-            if g is not None and not (g.shape == t.data.shape == shape
-                                      and g.dtype == t.data.dtype == self._m.dtype):
+            if g is None:
+                raise ShapeError(f"parameter {name!r} has no gradient")
+            if not (g.shape == t.data.shape == shape and g.dtype == t.data.dtype == self._m.dtype):
                 raise ShapeError(
                     f"parameter {name!r}: gradient {g.dtype}{g.shape} does not match "
                     f"data {t.data.dtype}{t.data.shape} (optimizer built for "
@@ -89,25 +89,16 @@ class AdamW:
             grads.append(g)
         return grads
 
-    def _blocks(self, grads) -> tuple[list, list]:
-        """The blocks over the parameters that have a gradient, and the
-        (tensor, offset, end, shape) of each of those parameters.
+    def _layout(self) -> list[tuple]:
+        """The blocks of the flat moments, in one sweep over ``_slots``.
 
-        One sweep over the parameters. A block is a flat range ``[lo, hi)``
-        of at most ``BLOCK`` elements with one decay setting and no
-        gradient-less parameter inside; its ``pieces`` name the parameter
-        each run of the range comes from and the part of it (``None`` for
-        all of it). Cached for the last set of present gradients.
+        A block is a flat range ``[lo, hi)`` of at most ``BLOCK`` elements
+        with one decay setting; its ``pieces`` name the parameter each run of
+        the range comes from and the part of it (``None`` for all of it).
         """
-        key = tuple(g is not None for g in grads)
-        if key == self._layout_key:
-            return self._layout
-        blocks, rebind = [], []
-        for i, ((_, t), (off, end, shape, decays)) in enumerate(zip(self.params, self._slots)):
-            if not key[i]:
-                continue
-            rebind.append((t, off, end, shape))
-            if not blocks or blocks[-1][1] != off or blocks[-1][2] != decays:
+        blocks = []
+        for i, (off, end, _, decays) in enumerate(self._slots):
+            if not blocks or blocks[-1][2] != decays:
                 blocks.append([off, off, decays, []])
             a = 0
             while a < end - off:
@@ -119,11 +110,9 @@ class AdamW:
                 block[3].append((i, None if b - a == end - off else slice(a, b)))
                 block[1] += b - a
                 a = b
-        self._layout = ([(lo, hi, decays, pieces, self._m[lo:hi], self._v[lo:hi],
-                          self._grad[:hi - lo], self._tmp[:hi - lo])
-                         for lo, hi, decays, pieces in blocks if pieces], rebind)
-        self._layout_key = key
-        return self._layout
+        return [(lo, hi, decays, pieces, self._m[lo:hi], self._v[lo:hi],
+                 self._grad[:hi - lo], self._tmp[:hi - lo])
+                for lo, hi, decays, pieces in blocks if pieces]
 
     @staticmethod
     def _gather(arrays, pieces, out: np.ndarray) -> np.ndarray:
@@ -135,15 +124,14 @@ class AdamW:
         """Apply one update at learning rate ``lr``.
 
         Returns False (and mutates nothing, moments included) when any
-        gradient is non-finite, so the caller can report and skip. A
-        gradient whose shape or dtype is not its parameter's is a
+        gradient is non-finite, so the caller can report and skip. A missing
+        gradient, or one whose shape or dtype is not its parameter's, is a
         ``ShapeError`` naming the parameter, raised before anything changes.
         """
         lr = float(lr)
         grads = self._grads()
-        blocks, rebind = self._blocks(grads)
         if not all(np.isfinite(self._gather(grads, block[3], block[6])).all()
-                   for block in blocks):
+                   for block in self._blocks):
             return False
         datas = [t.data for _, t in self.params]
         self.step_count += 1
@@ -152,7 +140,7 @@ class AdamW:
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         new = np.empty_like(self._m)
-        for lo, hi, decays, pieces, m, v, g, tmp in blocks:
+        for lo, hi, decays, pieces, m, v, g, tmp in self._blocks:
             self._gather(grads, pieces, g)
             p = self._gather(datas, pieces, new[lo:hi])
             np.multiply(m, b1, out=m)            # m = b1*m + (1-b1)*g
@@ -172,7 +160,7 @@ class AdamW:
                 np.add(g, tmp, out=g)
             np.multiply(g, lr, out=g)            # p = p - lr*update
             np.subtract(p, g, out=p)
-        for param, off, end, shape in rebind:
+        for (_, param), (off, end, shape, _) in zip(self.params, self._slots):
             param.data = new[off:end].reshape(shape)
         return True
 

@@ -125,10 +125,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=as_np_dtype(dtype))
-        elif isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
+    def __init__(self, data, requires_grad: bool = False):
+        if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
             arr = data
         else:
             arr = np.asarray(data, dtype=np.float32)

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exfusion.checkpoint import (
     MAGIC,
@@ -607,30 +610,38 @@ class TestRefusedWrite:
         assert _listing(tmp_path) == before
 
 
-def _header_offsets(raw: bytes) -> dict[int, str]:
-    """Offsets of the file header (record "") and of the length, name, code,
-    rank and dims of one record of each kind, found with the documented
-    layout, each with the name of its record: every meta record, and the
-    first tensor record of each namespace (model state, ``opt/m/``,
-    ``opt/v/``, ``opt/step``), dtype code and rank."""
+def _records(raw: bytes):
+    """(name, dtype code, rank, start, header end, end) of each record of a
+    checkpoint file, found with the documented layout."""
     (count,) = struct.unpack_from("<I", raw, 8)
-    offsets, at, seen = dict.fromkeys(range(12), ""), 12, set()
+    at = 12
     itemsize = {0: 4, 1: 8, 2: 8, 3: 1}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", raw, at)
         name = raw[at + 4:at + 4 + name_len].decode("utf-8")
         code, rank = raw[at + 4 + name_len], raw[at + 5 + name_len]
-        header = 4 + name_len + 2 + 8 * rank
-        dims = struct.unpack_from(f"<{rank}Q", raw, at + header - 8 * rank)
+        header = at + 4 + name_len + 2 + 8 * rank
+        dims = struct.unpack_from(f"<{rank}Q", raw, header - 8 * rank)
+        end = header + math.prod(dims) * itemsize[code]
+        yield name, code, rank, at, header, end
+        at = end
+    assert at == len(raw)
+
+
+def _header_offsets(raw: bytes) -> dict[int, str]:
+    """Offsets of the file header (record "") and of the length, name, code,
+    rank and dims of one record of each kind, each with the name of its
+    record: every meta record, and the first tensor record of each namespace
+    (model state, ``opt/m/``, ``opt/v/``, ``opt/step``), dtype code and rank."""
+    offsets, seen = dict.fromkeys(range(12), ""), set()
+    for name, code, rank, start, header, _ in _records(raw):
         if name.startswith(("meta/", "opt/step")):
             kind = name
         else:
             kind = (name[:6] if name.startswith("opt/") else "", code, rank)
         if kind not in seen:
             seen.add(kind)
-            offsets.update(dict.fromkeys(range(at, at + header), name))
-        at += header + math.prod(dims) * itemsize[code]
-    assert at == len(raw)
+            offsets.update(dict.fromkeys(range(start, header), name))
     return offsets
 
 
@@ -681,3 +692,49 @@ class TestCorruptionSweep:
         assert path.read_bytes() == saved
         assert len(loaded) < len(offsets)  # most flips are refused
         assert [r for r in loaded if r.startswith("meta/")] == []  # none in a meta record
+
+
+def _container(chunks) -> bytes:
+    return MAGIC + struct.pack("<II", VERSION, len(chunks)) + b"".join(chunks)
+
+
+class TestRecordOrder:
+    """The reader keys records by name: a small mb checkpoint with its
+    optimizer, rewritten with its records in any order, loads to the same
+    arrays and metadata, and a record written twice is refused by name."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model, opt = _small_trained("mb", "f32", seed=4, depth=1)
+        path = tmp_path_factory.mktemp("order") / "source.bin"
+        save_model_checkpoint(path, model, step=1, optimizer=opt,
+                              extra_meta={"task_spec": {"seed": 4}})
+        raw = path.read_bytes()
+        return path, [(name, raw[start:end]) for name, _, _, start, _, end in _records(raw)]
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_any_record_order_loads_the_same(self, tmp_path_factory, saved, data):
+        source, chunks = saved
+        order = data.draw(st.permutations(range(len(chunks))))
+        path = tmp_path_factory.mktemp("shuffled") / "x.bin"
+        path.write_bytes(_container([chunks[i][1] for i in order]))
+        want, got = load_model_checkpoint(source), load_model_checkpoint(path)
+        assert got.step == want.step and got.meta == want.meta
+        for arrays, again in ((want.model.state_arrays(), got.model.state_arrays()),
+                              (want.opt_arrays, got.opt_arrays)):
+            assert arrays.keys() == again.keys()
+            for name, arr in arrays.items():
+                assert again[name].dtype == arr.dtype, name
+                assert again[name].tobytes() == arr.tobytes(), name
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_a_duplicated_record_is_refused_by_name(self, tmp_path_factory, saved, data):
+        _, chunks = saved
+        twice = data.draw(st.sampled_from(chunks))
+        order = data.draw(st.permutations(chunks + [twice]))
+        path = tmp_path_factory.mktemp("duplicated") / "x.bin"
+        path.write_bytes(_container([chunk for _, chunk in order]))
+        with pytest.raises(CheckpointError, match=f"duplicate record '{re.escape(twice[0])}'"):
+            load_model_checkpoint(path)

@@ -129,6 +129,22 @@ class TestTrainCommand:
                          "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("variant = mb", "variant = mb%", "variant"),
+        ("steps = 20", "steps = %(x)s", "steps"),
+        ("seed = 2", "seed = 2 \xff", "run.ini"),
+    ], ids=["percent", "interpolation", "not-utf8"])
+    def test_unreadable_value_is_one_error_line(self, tmp_path, capsys, old, new, named):
+        # values are literal: '%' is refused by key, not by configparser; a
+        # file that is not UTF-8 is refused by name
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(cfg.read_text().replace(old, new, 1).encode("latin-1"))
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not (tmp_path / "run").exists()
+
 
     def test_resume_with_changed_train_settings_refused(self, tmp_path, capsys):
         code, out = train(tmp_path)

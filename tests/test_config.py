@@ -4,8 +4,16 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exfusion.config import BenchConfig, ConfigError, load_run_config, write_resolved_config
+from exfusion.config import (
+    BenchConfig,
+    ConfigError,
+    RunConfig,
+    load_run_config,
+    write_resolved_config,
+)
 from exfusion.model import ModelSpec
 from exfusion.tasks import TaskSpec
 from exfusion.train import TASK_DERIVED, TrainConfig
@@ -226,3 +234,66 @@ def test_readme_example_lists_every_key(tmp_path):
     for section in SECTIONS:
         assert sorted(example[section]) == sorted(schema_keys(section)), section
     load_run_config(write(tmp_path, block))  # and every value in it is valid
+
+
+# Keys whose value sizes what building the task allocates: they draw only
+# small ints or text that is not an int, so every example stays a few MB.
+SIZE_KEYS = {"depth", "dim", "heads", "expansion", "seq_len", "vocab_size", "num_classes",
+             "train_size", "val_size", "steps"}
+WORDS = ["%", "mb%", "%(x)s", "%(depth)s", "%%", "(", "nan", "inf", "-inf", "-1e-3", "0.5",
+         "1e-8", "0.999", "2.5", "", "all", "none", "0,1", "1,", "true", "off", "mb", "dw",
+         "moe", "replicate", "independent", "char_lm", "synthetic_cluster", "f32", "f64"]
+TEXT = st.one_of(st.sampled_from(WORDS),
+                 st.text(st.characters(codec="utf-8", exclude_categories=("Cc", "Cs")),
+                         max_size=8))
+SMALL_INTS = st.integers(-3, 64).map(str)
+
+
+def _is_int(raw: str) -> bool:
+    try:
+        int(raw)
+    except ValueError:
+        return False
+    return True
+
+
+def _value(key: str):
+    if key in SIZE_KEYS:
+        return SMALL_INTS | TEXT.filter(lambda raw: not _is_int(raw))
+    return SMALL_INTS | TEXT
+
+
+def _base() -> dict:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(EVERY_KEY)
+    return {section: dict(parser[section]) for section in SECTIONS}
+
+
+KEYS = [(section, key) for section in SECTIONS for key in schema_keys(section)]
+
+
+@st.composite
+def _configs(draw) -> str:
+    """EVERY_KEY with one to four of its values redrawn."""
+    values = _base()
+    for section, key in draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=4,
+                                      unique=True)):
+        values[section][key] = draw(_value(key))
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in values.items())
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(text=_configs())
+def test_any_value_gives_a_run_config_or_a_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("ini") / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        run = load_run_config(path)
+    except ConfigError:
+        return
+    assert isinstance(run, RunConfig)
+    write_resolved_config(path, run)
+    again = load_run_config(path)
+    assert (again.model, again.task, again.train, again.bench) == (
+        run.model, run.task, run.train, run.bench)

@@ -17,7 +17,7 @@ from exfusion.model import (
 )
 from exfusion.optim import AdamW
 from exfusion.params import ArraySource
-from exfusion.tensor import ShapeError, Tensor, cross_entropy, no_grad, tsum
+from exfusion.tensor import ShapeError, Tensor, as_np_dtype, cross_entropy, no_grad, tsum
 from exfusion.train import batch_loss
 
 from oracles import affine_composite, attention_composite, max_rel_err, numeric_gradient
@@ -94,7 +94,7 @@ class TestAttention:
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
     def test_layer_equals_the_composite(self, dtype, masked):
         attn = AttentionLayer("a", 16, 4, ArraySource(dtype, 5))
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)), dtype=dtype)
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)).astype(as_np_dtype(dtype)))
         mask = causal_mask(7, x.dtype) if masked else None
         out = attn(x, mask)
         q, k, v, o = ((lin.weight, lin.bias) for lin in (attn.q, attn.k, attn.v, attn.o))

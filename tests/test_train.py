@@ -1,3 +1,4 @@
+import functools
 import weakref
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from exfusion.checkpoint import load_model_checkpoint, read_checkpoint, write_checkpoint
 from exfusion.model import Model, collapse_to_dense
-from exfusion.optim import AdamW
+from exfusion.optim import AdamW, CosineSchedule
 from exfusion.tasks import TaskSpec, build_task
 from exfusion.train import (
     TrainConfig,
@@ -201,6 +202,113 @@ class TestStaticFusionUnderAdamW:
             for moment in (opt.m[name], opt.v[name]):
                 assert moment[0].any()
                 assert all(expert.tobytes() == moment[0].tobytes() for expert in moment[1:]), name
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_task(task: str):
+    return build_task(TaskSpec(task=task, seq_len=8, vocab_size=16, num_classes=4,
+                               train_size=64, val_size=32, seed=1))
+
+
+class TestEveryParameterHasAGradient:
+    """AdamW refuses a trainable parameter without a gradient, so every model
+    the configuration can build must give each one a gradient on every
+    training step, with nothing cleared or filled in by hand."""
+
+    @pytest.mark.parametrize("option", [
+        {}, dict(shared_router=False), dict(expert_init="replicate"),
+        dict(freeze_fusion_weights=True), dict(replaced_layers=(1,)), dict(top_k=2),
+    ], ids=["defaults", "unshared-router", "replicate", "frozen-weights", "layer-1", "top-2"])
+    @pytest.mark.parametrize("task", ["synthetic_cluster", "char_lm"])
+    @pytest.mark.parametrize("variant", ["dense", "moe", "sw", "dw", "mb"])
+    def test_one_step_updates_every_parameter(self, variant, task, option):
+        spec = model_spec_for_task(_tiny_task(task), depth=2, dim=8, heads=2, expansion=2,
+                                   variant=variant, num_experts=3, seed=1, **option)
+        model = Model(spec, dtype="f64")
+        opt = AdamW(model.named_parameters(), weight_decay=0.05)
+        before = {name: t.data for name, t in opt.params}
+        xb, yb = _tiny_task(task).batch(1, 4)
+        assert train_step(model, opt, xb, yb, 1e-3, 1.0, 1)[1]
+        assert opt.step_count == 1
+        for name, t in opt.params:
+            assert t.grad is not None and t.data is not before[name], name
+
+
+EXPERT_SETS = ("up.weight", "up.bias", "down.weight", "down.bias")
+
+
+def _symmetry_steps(variant, dtype, expert_init, steps):
+    """Criterion 6's model and task, trained at wd 0.05, clip 1.0 and a
+    cosine lr from 2e-3 with 10% warmup. Yields ``(lr, params)`` before
+    training (lr 0) and after each of ``steps`` steps (that step's lr);
+    ``params`` maps each trainable name to its array."""
+    task_spec = TaskSpec(seq_len=8, vocab_size=16, num_classes=4, train_size=256,
+                         val_size=64, seed=11)
+    task = build_task(task_spec)
+    spec = model_spec_for_task(task, depth=2, dim=16, heads=2, expansion=2, variant=variant,
+                               num_experts=4, expert_init=expert_init, seed=11)
+    model = Model(spec, dtype=dtype)
+    opt = AdamW(model.named_parameters(), weight_decay=0.05)
+    sched = CosineSchedule(steps // 10, steps, 2e-3, 1e-5)
+    for step in range(steps + 1):
+        lr = sched.lr_at(step) if step else 0.0
+        if step:
+            xb, yb = task.batch(step, 8)
+            assert train_step(model, opt, xb, yb, lr, 1.0, step)[1]
+        yield lr, {name: t.data for name, t in opt.params}
+
+
+def _expert_sets(params: dict) -> dict:
+    """The stacked expert parameters of every fused FFN, by name."""
+    experts = {name: arr for name, arr in params.items()
+               if ".ffn." in name and name.endswith(EXPERT_SETS)}
+    assert len(experts) == 2 * len(EXPERT_SETS)
+    return experts
+
+
+def _spread(stack: np.ndarray) -> float:
+    """||W_i - W_mean|| over the experts of one stacked parameter."""
+    return float(np.linalg.norm(stack - stack.mean(axis=0)))
+
+
+def _experts_equal(stack: np.ndarray) -> bool:
+    return all(e.tobytes() == stack[0].tobytes() for e in stack[1:])
+
+
+class TestUpcyclingSymmetry:
+    """With the paper's upcycling init (``expert_init = replicate``) the
+    experts start equal. Static fusion gives each the same gradient, so AdamW
+    keeps them equal: sw and dw train as a dense model, dw with one learned
+    scale per layer. Only mb's per-batch router weights split them."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", ["sw", "dw"])
+    def test_static_fusion_keeps_replicated_experts_bitwise_equal(self, variant, dtype):
+        for _, params in _symmetry_steps(variant, dtype, "replicate", 150):
+            for name, stack in _expert_sets(params).items():
+                assert _experts_equal(stack), name
+        for name, w in params.items():
+            if name.endswith(".fusion.weights"):  # equal to one another, but learned
+                assert np.all(w == w[0]) and abs(w[0] - 0.25) > 0.01, name
+
+    def test_mb_router_splits_replicated_experts_within_ten_steps(self):
+        *_, (_, params) = _symmetry_steps("mb", "f64", "replicate", 10)
+        assert max(_spread(stack) for stack in _expert_sets(params).values()) > 0.0
+
+    def test_sw_expert_spread_shrinks_only_by_weight_decay(self):
+        # every sw expert gets the gradient G/N, so its moments and Adam step
+        # match the others'; only the decay term lr*wd*W_i tells them apart
+        initial, factor, worst = None, 1.0, 0.0
+        for lr, params in _symmetry_steps("sw", "f64", "independent", 150):
+            factor *= 1.0 - lr * 0.05
+            experts = _expert_sets(params)
+            initial = initial or {name: _spread(stack) for name, stack in experts.items()}
+            for name, stack in experts.items():
+                if initial[name]:
+                    worst = max(worst, abs(_spread(stack) / (initial[name] * factor) - 1.0))
+                else:  # the biases start equal (zero), and stay equal
+                    assert _experts_equal(stack), name
+        assert worst <= 5 * np.finfo(np.float64).eps
 
 
 class TestEvaluate:
