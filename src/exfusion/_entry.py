@@ -1,8 +1,10 @@
 """Console-script shim.
 
-``--deterministic`` pins BLAS/OpenMP pools to one thread, which only takes
-effect if the environment variables are set before numpy is first imported.
-Keep this module free of heavy imports.
+``--deterministic``, accepted by every subcommand, has one meaning: it pins
+the BLAS/OpenMP pools to one thread. That only takes effect if the
+environment variables are set before numpy is first imported, so this shim
+reads the flag, not the CLI. It changes no run setting, and no run file
+records it. Keep this module free of heavy imports.
 """
 
 import os

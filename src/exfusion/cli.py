@@ -18,7 +18,7 @@ from .config import ConfigError, load_run_config, write_resolved_config
 from .model import collapse_to_dense, expected_param_count
 from .tasks import build_task
 from .tensor import no_grad
-from .train import _check_compatible, evaluate, train_loop
+from .train import METRIC_NAME, _check_compatible, evaluate, train_loop
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -28,11 +28,7 @@ EXIT_VERIFY = 3
 
 
 def _overrides(args) -> dict:
-    return {
-        "seed": getattr(args, "seed", None),
-        "dtype": getattr(args, "dtype", None),
-        "deterministic": getattr(args, "deterministic", False),
-    }
+    return {"seed": args.seed, "dtype": args.dtype}
 
 
 def cmd_train(args) -> int:
@@ -48,8 +44,8 @@ def cmd_train(args) -> int:
 
     result = train_loop(run.model, run.task, run.train, out,
                         resume_from=args.resume, echo=print, on_start=record_config)
-    metric_name = "accuracy" if run.model.objective == "classification" else "perplexity"
-    print(f"done: step {result.final_step}, val {metric_name} {result.final_eval.metric:.6f}, "
+    print(f"done: step {result.final_step}, "
+          f"val {METRIC_NAME[run.model.objective]} {result.final_eval.metric:.6f}, "
           f"val loss {result.final_eval.loss:.6f}")
     print(f"metrics: {result.metrics_path}")
     print(f"final checkpoint: {result.checkpoint_paths[-1]}")
@@ -85,8 +81,7 @@ def cmd_eval(args) -> int:
     task = build_task(run.task)
     _check_compatible(loaded.model.spec, task)
     ev = evaluate(loaded.model, task)
-    metric_name = "accuracy" if loaded.model.spec.objective == "classification" else "perplexity"
-    print(f"val {metric_name}: {ev.metric:.6f}")
+    print(f"val {METRIC_NAME[loaded.model.spec.objective]}: {ev.metric:.6f}")
     print(f"val loss: {ev.loss:.6f}")
     return EXIT_OK
 
@@ -119,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None, help="override model/task seed")
         p.add_argument("--dtype", choices=("f32", "f64"), default=None)
-        p.add_argument("--deterministic", action="store_true",
-                       help="single-threaded BLAS, zeroed step_ms in metrics")
         p.add_argument("--config", required=True, help="INI run configuration")
 
     p = sub.add_parser("train", help="run a training job")
@@ -133,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="collapse a multi-expert checkpoint to dense")
     p.add_argument("ckpt", help="source checkpoint")
     p.add_argument("--out", required=True, help="destination checkpoint path")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded BLAS")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a task")
@@ -145,14 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property verification suites")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded BLAS")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="compare per-step training time across variants")
     common(p)
     p.set_defaults(func=cmd_bench)
 
+    for p in sub.choices.values():  # read by the console script before numpy loads
+        p.add_argument("--deterministic", action="store_true",
+                       help="pin BLAS/OpenMP thread pools to one thread")
     return parser
 
 
@@ -167,6 +159,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

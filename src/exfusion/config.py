@@ -106,7 +106,7 @@ def _section_values(parser: configparser.ConfigParser, section: str) -> dict:
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    ``overrides`` may carry CLI-level settings: seed, dtype, deterministic.
+    ``overrides`` may carry CLI-level settings: seed (model and task) and dtype.
     """
     path = Path(path)
     if not path.is_file():
@@ -126,8 +126,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         kw["model"]["seed"] = kw["task"]["seed"] = int(overrides["seed"])
     if overrides.get("dtype") is not None:
         kw["train"]["dtype"] = overrides["dtype"]
-    if overrides.get("deterministic"):
-        kw["train"]["deterministic"] = True
 
     try:
         task_spec = TaskSpec(**kw["task"])

@@ -1,4 +1,4 @@
-"""Parameter containers with deterministic, name-keyed initialization.
+"""Parameter containers with seeded, name-keyed initialization.
 
 Every parameter draws from its own PCG64 stream seeded by (run seed, name),
 so two models that share a parameter name initialize it bit-identically

@@ -1,4 +1,4 @@
-"""Desk-scale training tasks, fully deterministic given a seed.
+"""Desk-scale training tasks, fully determined by a seed.
 
 SyntheticCluster: sequences sampled around per-class Gaussian centers and
 quantized to token ids; separable enough that a counting probe clears 90%.

@@ -116,7 +116,8 @@ def no_grad():
 class Tensor:
     """A dense real array participating in a reverse-mode gradient tape.
 
-    Leaf tensors are validated to be finite on creation. Op outputs carry
+    A leaf wraps a float32 or float64 ndarray as it is (anything else is a
+    ``TypeError``) and is validated to be finite on creation. Op outputs carry
     references to their inputs plus a vjp closure; ``backward()`` on a
     scalar populates ``.grad`` on every reachable leaf that requires
     gradients. Data is treated as immutable once on the tape; only ``grad``
@@ -126,13 +127,12 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
-            arr = data
-        else:
-            arr = np.asarray(data, dtype=np.float32)
-        if not _all_finite(arr):
+        if not (isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES):
+            raise TypeError(f"Tensor takes a float32 or float64 ndarray; got "
+                            f"{type(data).__name__} of dtype {getattr(data, 'dtype', None)}")
+        if not _all_finite(data):
             raise NonFiniteError("tensor created with non-finite values")
-        self.data = arr
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()

@@ -1,10 +1,10 @@
-"""Training loop: deterministic batches, AdamW, warmup+cosine, metrics, resume.
+"""Training loop: seeded batches, AdamW, warmup+cosine, metrics, resume.
 
-Metrics go to ``metrics.csv`` (``step,epoch,lr,train_loss,val_metric,step_ms``,
-one row per log interval, LF endings). In deterministic mode the step_ms
-column is written as 0.000 so that a resumed run reproduces the metrics file
-byte-for-byte; observed timings still go to the echo callback. Checkpoints
-land in the output directory as ``ckpt_NNNNNN.bin``.
+Metrics go to ``metrics.csv`` (``step,epoch,lr,train_loss,val_metric``, one
+row per log interval, LF endings). Every column is a function of the config
+and the seeds, so identical runs, and a resumed run, write it byte-for-byte
+alike; the live step time goes only to the echo callback. Checkpoints land in
+the output directory as ``ckpt_NNNNNN.bin``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class TrainConfig:
     log_interval: int = 50
     checkpoint_interval: int = 0
     dtype: str = "f32"
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.steps < 0:
@@ -81,8 +80,12 @@ class TrainConfig:
         return dataclasses.asdict(self)
 
 
+# The name of EvalResult.metric for each objective.
+METRIC_NAME = {"classification": "accuracy", "lm": "perplexity"}
+
+
 class EvalResult(NamedTuple):
-    metric: float  # accuracy (classification) or perplexity (lm)
+    metric: float  # METRIC_NAME[objective]
     loss: float    # mean cross-entropy in nats
 
 
@@ -93,12 +96,16 @@ class TrainResult(NamedTuple):
     checkpoint_paths: list[Path]
 
 
-def batch_loss(model: Model, tokens: np.ndarray, targets: np.ndarray, training: bool) -> Tensor:
-    logits = model.forward(tokens, training=training)
-    if model.spec.objective == "classification":
+def _mean_nll(objective: str, logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy over ``targets``: one per example, or one per token (lm)."""
+    if objective == "classification":
         return cross_entropy(logits, targets)
     b, l, v = logits.shape
     return cross_entropy(reshape(logits, (b * l, v)), targets.reshape(-1))
+
+
+def batch_loss(model: Model, tokens: np.ndarray, targets: np.ndarray, training: bool) -> Tensor:
+    return _mean_nll(model.spec.objective, model.forward(tokens, training=training), targets)
 
 
 def train_step(model: Model, opt: AdamW, tokens: np.ndarray, targets: np.ndarray, lr: float,
@@ -122,6 +129,7 @@ def train_step(model: Model, opt: AdamW, tokens: np.ndarray, targets: np.ndarray
 
 def evaluate(model: Model, task) -> EvalResult:
     """Full-validation metric and mean loss in eval mode (banks frozen)."""
+    objective = model.spec.objective
     xs, ys = task.val_data()
     total_nll = 0.0
     correct = 0
@@ -130,17 +138,13 @@ def evaluate(model: Model, task) -> EvalResult:
         for i in range(0, xs.shape[0], EVAL_BATCH):
             xb, yb = xs[i:i + EVAL_BATCH], ys[i:i + EVAL_BATCH]
             logits = model.forward(xb, training=False)
-            if model.spec.objective == "classification":
-                n = xb.shape[0]
-                total_nll += float(cross_entropy(logits, yb).data) * n
+            n = yb.size  # examples, or tokens (lm)
+            total_nll += float(_mean_nll(objective, logits, yb).data) * n
+            if objective == "classification":
                 correct += int((logits.data.argmax(axis=1) == yb).sum())
-            else:
-                b, l, v = logits.shape
-                n = b * l
-                total_nll += float(cross_entropy(reshape(logits, (n, v)), yb.reshape(-1)).data) * n
             count += n
     loss = total_nll / count
-    if model.spec.objective == "classification":
+    if objective == "classification":
         return EvalResult(metric=correct / count, loss=loss)
     return EvalResult(metric=float(np.exp(loss)), loss=loss)
 
@@ -246,7 +250,7 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
         _drop_rows_after(metrics_path, start_step)
     else:
         with open(metrics_path, "w", newline="\n") as fh:
-            fh.write("step,epoch,lr,train_loss,val_metric,step_ms\n")
+            fh.write("step,epoch,lr,train_loss,val_metric\n")
 
     ckpt_paths: list[Path] = []
 
@@ -277,10 +281,8 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
                 ev = evaluate(model, task)
                 epoch = step * cfg.batch_size // task.train_examples
                 mean_ms = sum(window) / len(window)
-                logged_ms = 0.0 if cfg.deterministic else mean_ms
                 window.clear()
-                fh.write(f"{step},{epoch},{sched.lr_at(step):.10g},{loss_val:.8f},"
-                         f"{ev.metric:.8f},{logged_ms:.3f}\n")
+                fh.write(f"{step},{epoch},{sched.lr_at(step):.10g},{loss_val:.8f},{ev.metric:.8f}\n")
                 fh.flush()
                 say(f"step {step}: loss {loss_val:.4f} val {ev.metric:.4f} ({mean_ms:.1f} ms/step)")
             if cfg.checkpoint_interval and step % cfg.checkpoint_interval == 0:

@@ -132,7 +132,7 @@ def _degeneracy_run(tmp_path, tag, variant, **model_kw):
     spec = model_spec_for_task(task, depth=2, dim=16, heads=2, expansion=2,
                                variant=variant, seed=11, **model_kw)
     cfg = TrainConfig(steps=200, batch_size=8, warmup_steps=20, base_lr=2e-3,
-                      log_interval=20, checkpoint_interval=0, deterministic=True)
+                      log_interval=20, checkpoint_interval=0)
     out = tmp_path / tag
     result = train_loop(spec, task_spec, cfg, out)
     return out / "metrics.csv", result.checkpoint_paths[-1]
@@ -222,7 +222,7 @@ def test_criterion_9_determinism_resume(tmp_path, variant):
     spec = model_spec_for_task(task, depth=2, dim=16, heads=2, expansion=2,
                                variant=variant, num_experts=3, seed=13)
     cfg = TrainConfig(steps=24, batch_size=8, warmup_steps=4, log_interval=6,
-                      checkpoint_interval=12, deterministic=True)
+                      checkpoint_interval=12)
     full = train_loop(spec, task_spec, cfg, tmp_path / "full")
     train_loop(spec, task_spec, cfg, tmp_path / "part", halt_at_step=12)
     resumed = train_loop(spec, task_spec, cfg, tmp_path / "part",

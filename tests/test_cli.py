@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 import struct
 import subprocess
 import sys
@@ -7,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from exfusion import cli
-from exfusion.checkpoint import load_model_checkpoint
+from exfusion import _entry, cli
+from exfusion.checkpoint import load_model_checkpoint, meta_json
 from exfusion.verify import CheckResult
 
 CONFIG = """
@@ -118,11 +120,23 @@ class TestTrainCommand:
         code3, _ = train(tmp_path, extra=("--force",))
         assert code3 == 0
 
-    def test_same_seed_runs_identical(self, tmp_path):
-        _, a = train(tmp_path, out="a")
-        _, b = train(tmp_path, out="b")
-        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
-        assert (a / "ckpt_000020.bin").read_bytes() == (b / "ckpt_000020.bin").read_bytes()
+    def test_same_seed_runs_identical(self, tmp_path, monkeypatch, capsys):
+        # each run writes to a relative "run" from its own directory, so the
+        # paths it prints are equal; only the live step times may differ
+        cfg = write_config(tmp_path)
+        stdout = {}
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            capsys.readouterr()
+            assert cli.main(["train", "--config", str(cfg), "--out", "run"]) == 0
+            stdout[name], timed = re.subn(r"\(\d+\.\d ms/step\)", "(- ms/step)",
+                                          capsys.readouterr().out)
+            assert timed == 2
+        assert stdout["a"] == stdout["b"]
+        a, b = tmp_path / "a/run", tmp_path / "b/run"
+        for name in ("metrics.csv", "resolved_config.ini", "ckpt_000020.bin"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_missing_config(self, tmp_path):
         code = cli.main(["train", "--config", str(tmp_path / "no.ini"),
@@ -160,6 +174,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "batch_size 8 -> 32" in err and "base_lr 0.002 -> 0.05" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_from_checkpoint_with_retired_setting_refused(self, tmp_path, capsys,
+                                                                 saved_run):
+        # a checkpoint written while TrainConfig still had a `deterministic` field
+        def add_retired(tensors, meta):
+            meta["train_config"] = dict(meta_json(meta, "train_config"), deterministic=True)
+
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, add_retired)
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--resume", str(ckpt)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "train_config.deterministic True -> None" in err[0]
+        assert not (tmp_path / "run").exists()
 
 
 class TestExportCommand:
@@ -577,6 +606,35 @@ class TestBenchCommand:
         opt = made[VARIANTS.index("dw")]
         assert opt.weight_decay > 0
         assert opt.no_decay == {"blocks.0.ffn.fusion.weights", "blocks.1.ffn.fusion.weights"}
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["verify", "ema", "--deterministic"], True),
+    (["verify", "ema"], False),
+])
+def test_entry_pins_blas_exactly_with_the_flag(monkeypatch, argv, pinned):
+    for var in _entry._THREAD_VARS:  # unset for this test, restored after it
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda args: seen.append(args) or 0)
+    assert _entry.main(argv) == 0
+    assert seen == [argv]
+    assert {var: os.environ.get(var) for var in _entry._THREAD_VARS} == \
+        {var: "1" if pinned else None for var in _entry._THREAD_VARS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "run.ini", "--out", "run"],
+    ["export", "a.bin", "--out", "b.bin"],
+    ["eval", "a.bin", "--config", "run.ini"],
+    ["verify", "all"],
+    ["bench", "--config", "run.ini"],
+])
+def test_every_subcommand_accepts_deterministic(argv):
+    parser = cli.build_parser()
+    assert parser.parse_args([*argv, "--deterministic"]).deterministic is True
+    assert parser.parse_args(argv).deterministic is False
 
 
 def test_console_script_entry():

@@ -54,7 +54,6 @@ grad_clip = 1.0
 log_interval = 10
 checkpoint_interval = 10
 dtype = f32
-deterministic = true
 """
 
 
@@ -100,7 +99,6 @@ grad_clip = 0.5
 log_interval = 10
 checkpoint_interval = 10
 dtype = f64
-deterministic = false
 
 [bench]
 timed_steps = 5
@@ -140,9 +138,13 @@ class TestLoad:
         assert run.model.objective == "lm"
         assert run.model.vocab_size > 20            # from the bundled text
 
-    def test_unknown_key_named(self, tmp_path):
-        bad = FULL.replace("[model]\ndepth = 2", "[model]\nswizzle = 1\ndepth = 2")
-        with pytest.raises(ConfigError, match="swizzle"):
+    @pytest.mark.parametrize("section, line, key", [
+        ("model", "swizzle = 1", "swizzle"),
+        ("train", "deterministic = true", "deterministic"),  # a retired key
+    ], ids=["model_swizzle", "train_deterministic"])
+    def test_unknown_key_named(self, tmp_path, section, line, key):
+        bad = FULL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
             load_run_config(write(tmp_path, bad))
 
     def test_unknown_section_named(self, tmp_path):
@@ -170,8 +172,7 @@ class TestLoad:
         assert run.model.replaced_layers == ()
 
     def test_overrides(self, tmp_path):
-        run = load_run_config(write(tmp_path, FULL),
-                              overrides={"seed": 123, "dtype": "f64", "deterministic": True})
+        run = load_run_config(write(tmp_path, FULL), overrides={"seed": 123, "dtype": "f64"})
         assert run.model.seed == 123 and run.task.seed == 123
         assert run.train.dtype == "f64"
 
@@ -181,13 +182,13 @@ class TestLoad:
         ("false", False), ("0", False), ("no", False), ("off", False), (" Off ", False),
     ])
     def test_boolean_spellings(self, tmp_path, raw, value):
-        run = load_run_config(write(tmp_path, FULL.replace("deterministic = true",
-                                                           f"deterministic = {raw}")))
-        assert run.train.deterministic is value
+        run = load_run_config(write(tmp_path, FULL.replace("shared_router = true",
+                                                           f"shared_router = {raw}")))
+        assert run.model.shared_router is value
 
     def test_non_boolean_names_key(self, tmp_path):
-        bad = FULL.replace("deterministic = true", "deterministic = maybe")
-        with pytest.raises(ConfigError, match="deterministic.*not a boolean"):
+        bad = FULL.replace("shared_router = true", "shared_router = maybe")
+        with pytest.raises(ConfigError, match="shared_router.*not a boolean"):
             load_run_config(write(tmp_path, bad))
 
     @pytest.mark.parametrize("key, value", [

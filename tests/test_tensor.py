@@ -46,6 +46,10 @@ F32_TOL = 1e-4
 F64_TOL = 1e-8
 
 
+def f32(values):
+    return np.array(values, dtype=np.float32)
+
+
 def _fd_step(dtype):
     return 1e-3 if dtype == "f32" else 1e-5
 
@@ -99,9 +103,9 @@ class TestForward:
 
     def test_add_and_scale(self):
         np.testing.assert_array_equal(
-            add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])).data, [4.0, 6.0]
+            add(Tensor(f32([1.0, 2.0])), Tensor(f32([3.0, 4.0]))).data, [4.0, 6.0]
         )
-        np.testing.assert_array_equal(scale(Tensor([1.0, 2.0]), 0.5).data, [0.5, 1.0])
+        np.testing.assert_array_equal(scale(Tensor(f32([1.0, 2.0])), 0.5).data, [0.5, 1.0])
 
     def test_broadcast_bias_add(self):
         z = Tensor(np.zeros((2, 3), dtype=np.float32))
@@ -118,7 +122,7 @@ class TestForward:
             add(Tensor(np.array([1.0], dtype=np.float32)), Tensor(np.array([1.0])))
 
     def test_gelu_zero_and_asymptote(self):
-        assert gelu(Tensor([0.0])).data[0] == 0.0
+        assert gelu(Tensor(f32([0.0]))).data[0] == 0.0
         x = 10.0
         assert abs(gelu(Tensor(np.array([x]))).data[0] - x) < 1e-6
 
@@ -130,7 +134,7 @@ class TestForward:
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(
-            softmax(Tensor([0.0, 0.0, 0.0, 0.0])).data, [0.25] * 4, atol=1e-7
+            softmax(Tensor(f32([0.0, 0.0, 0.0, 0.0]))).data, [0.25] * 4, atol=1e-7
         )
 
     def test_softmax_shift_invariance(self):
@@ -196,7 +200,17 @@ class TestForward:
 
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NonFiniteError):
-            Tensor([1.0, float("nan")])
+            Tensor(f32([1.0, float("nan")]))
+
+    @pytest.mark.parametrize("data, named", [
+        ([1.0, 2.0], "list of dtype None"),
+        (np.arange(3), "ndarray of dtype int64"),
+        (np.float64(1.5), "float64 of dtype float64"),
+        (np.ones(2, dtype=np.float16), "ndarray of dtype float16"),
+    ], ids=["list", "int_array", "f64_scalar", "f16_array"])
+    def test_leaf_takes_only_a_float_ndarray(self, data, named):
+        with pytest.raises(TypeError, match=f"float32 or float64 ndarray; got {named}$"):
+            Tensor(data)
 
 
 # ---------------------------------------------------------------------------
