@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
-python3 -m pytest -q
+python3 -m pytest -q --durations=10
 python3 -m exfusion._entry verify all --deterministic
 
 if [ "${1:-}" = "--bench" ]; then

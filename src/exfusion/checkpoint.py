@@ -73,16 +73,39 @@ def meta_int(meta: dict, key: str) -> int:
 _HEAD = struct.Struct("<II")  # version, record count
 _U32 = struct.Struct("<I")
 _LITTLE = {code: dt.newbyteorder("<") for code, dt in _DTYPES.items()}
+# Bytes one os.writev call gathers before the next begins. On ext4 one 28.6 MB
+# call took 2-3x as long as the same bytes in 4 MiB calls.
+_WRITEV_BYTES = 4 << 20
 
 
 def _record_bytes(name: str, arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """(header, payload) of one record, refused unless the dtype has a code."""
-    if arr.dtype not in _CODES:
+    """(header, payload) of one record, refused unless the dtype has a code.
+    The payload is ``arr`` itself unless it is not C-contiguous little-endian."""
+    code = _CODES.get(arr.dtype)
+    if code is None:
         raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
     encoded = name.encode("utf-8")
     header = (_U32.pack(len(encoded)) + encoded
-              + struct.pack(f"<BB{arr.ndim}Q", _CODES[arr.dtype], arr.ndim, *arr.shape))
-    return header, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+              + struct.pack(f"<BB{arr.ndim}Q", code, arr.ndim, *arr.shape))
+    if not arr.flags.c_contiguous or arr.dtype != _LITTLE[code]:
+        arr = np.ascontiguousarray(arr, dtype=_LITTLE[code])
+    return header, arr
+
+
+def _write_all(fd: int, buffers: list, size: int) -> None:
+    """Write the ``size`` bytes of ``buffers`` in order with ``os.writev``,
+    going on from where a short write stopped."""
+    at = 0
+    while True:
+        written = os.writev(fd, buffers[at:])
+        size -= written
+        if not size:
+            return
+        while written >= (n := memoryview(buffers[at]).nbytes):
+            written -= n
+            at += 1
+        if written:  # the buffer at ``at`` was written in part
+            buffers[at] = memoryview(buffers[at]).cast("B")[written:]
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -101,13 +124,25 @@ def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = N
         raise CheckpointError(f"tensor {reserved!r} uses the reserved 'meta/' prefix")
     records = [_record_bytes(name, np.asarray(arr)) for name, arr in sorted(tensors.items())]
     records += [_record_bytes("meta/" + k, _encode_meta_value(v)) for k, v in sorted(meta.items())]
+    # One os.writev call per batch: at most IOV_MAX buffers, and no record
+    # added once it holds _WRITEV_BYTES.
+    iov_max = os.sysconf("SC_IOV_MAX")
+    batches = [[MAGIC + _HEAD.pack(VERSION, len(records))]]
+    sizes = [len(batches[0][0])]
+    for header, payload in records:
+        if len(batches[-1]) + 2 > iov_max or sizes[-1] >= _WRITEV_BYTES:
+            batches.append([])
+            sizes.append(0)
+        batches[-1] += (header, payload)
+        sizes[-1] += len(header) + payload.nbytes
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + _HEAD.pack(VERSION, len(records)))
-            for header, payload in records:
-                fh.write(header)
-                fh.write(payload)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            for batch, size in zip(batches, sizes):
+                _write_all(fd, batch, size)
+        finally:
+            os.close(fd)
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -206,7 +241,8 @@ def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
     key is refused before the file is opened."""
     from .model import Model  # local import to keep this module light
 
-    assert isinstance(model, Model)
+    if not isinstance(model, Model):
+        raise TypeError(f"expected a Model, got {type(model).__name__}")
     unknown = next((key for key in extra_meta or () if key not in _EXTRA_META), None)
     if unknown is not None:
         raise CheckpointError(f"{path}: extra metadata {unknown!r} is not one of {_EXTRA_META}")

@@ -120,7 +120,7 @@ class ModelSpec:
         return self.num_classes if self.objective == "classification" else self.vocab_size
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(vars(self))
 
 
 class AttentionLayer:

@@ -49,9 +49,7 @@ class TaskSpec:
             raise ValueError(f"val_fraction must be in (0, 1); got {self.val_fraction}")
 
     def to_dict(self) -> dict:
-        import dataclasses
-
-        return dataclasses.asdict(self)
+        return dict(vars(self))
 
 
 def load_bundled_text() -> str:

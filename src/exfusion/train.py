@@ -75,9 +75,7 @@ class TrainConfig:
             raise ValueError(f"dtype must be f32 or f64; got {self.dtype!r}")
 
     def to_dict(self) -> dict:
-        import dataclasses
-
-        return dataclasses.asdict(self)
+        return dict(vars(self))
 
 
 # The name of EvalResult.metric for each objective.

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import math
 import os
@@ -24,7 +26,9 @@ from exfusion.checkpoint import (
 from exfusion import checkpoint, params
 from exfusion.model import VARIANTS, Model, ModelSpec
 from exfusion.optim import AdamW
+from exfusion.tasks import TaskSpec
 from exfusion.tensor import cross_entropy
+from exfusion.train import TrainConfig
 
 from oracles import read_checkpoint_reference
 
@@ -162,18 +166,43 @@ class TestContainer:
             read_checkpoint(path)
 
 
-def reference_encoding(tensors: dict) -> bytes:
-    """The documented layout, built with struct and tobytes() only."""
+def reference_encoding(tensors: dict, meta: dict | None = None) -> bytes:
+    """The documented layout, built with struct and tobytes() only: the
+    tensors sorted by name, then ``meta``'s arrays as ``meta/`` records."""
     codes = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
              np.dtype(np.int64): 2, np.dtype(np.uint8): 3}
-    out = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
-    for name, arr in sorted(tensors.items()):
+    records = sorted(tensors.items())
+    records += [("meta/" + key, arr) for key, arr in sorted((meta or {}).items())]
+    out = [MAGIC, struct.pack("<II", VERSION, len(records))]
+    for name, arr in records:
         encoded = name.encode("utf-8")
         out += [struct.pack("<I", len(encoded)), encoded,
                 struct.pack("<BB", codes[arr.dtype], arr.ndim)]
         out += [struct.pack("<Q", d) for d in arr.shape]
         out.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
     return b"".join(out)
+
+
+def reference_meta(meta: dict) -> dict:
+    """Metadata values as the documented records: strings as uint8 bytes,
+    ints as int64[1], dicts as sorted-key JSON bytes."""
+    def record(value):
+        if isinstance(value, int):
+            return np.array([value], dtype=np.int64)
+        if isinstance(value, dict):
+            value = json.dumps(value, sort_keys=True)
+        return np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
+
+    return {key: record(value) for key, value in meta.items()}
+
+
+def _expected_model_file(model, step, opt, extra):
+    """``save_model_checkpoint``'s file, built from the model's arrays and
+    ``dataclasses.asdict`` of its spec by ``reference_encoding``."""
+    tensors = dict(model.state_arrays(), **opt.state_arrays())
+    meta = dict(format="model", model_spec=dataclasses.asdict(model.spec), dtype=model.dtype,
+                step=step, **extra)
+    return reference_encoding(tensors, reference_meta(meta))
 
 
 class TestWriterEncoding:
@@ -195,6 +224,26 @@ class TestWriterEncoding:
         for name, arr in tensors.items():
             assert loaded[name].shape == arr.shape
             assert loaded[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_model_checkpoint_matches_reference_encoding(self, tmp_path, variant, dtype):
+        model, opt = _small_trained(variant, dtype)
+        extra = {"task_spec": dataclasses.asdict(TaskSpec(task="char_lm", seq_len=4)),
+                 "train_config": dataclasses.asdict(TrainConfig(steps=1, warmup_steps=0, dtype=dtype))}
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, model, step=1, optimizer=opt, extra_meta=extra)
+        assert path.read_bytes() == _expected_model_file(model, 1, opt, extra)
+
+    def test_same_names_with_other_shapes_get_their_own_headers(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        for dim in (8, 16, 8):
+            spec = ModelSpec(depth=1, dim=dim, heads=2, expansion=2, vocab_size=7,
+                             num_classes=3, max_seq_len=4, variant="mb", num_experts=3)
+            model = Model(spec)
+            opt = AdamW(model.named_parameters())
+            save_model_checkpoint(path, model, step=dim, optimizer=opt)
+            assert path.read_bytes() == _expected_model_file(model, dim, opt, {})
 
 
 def _trained_mb(seed=3, shared_router=False):
@@ -285,6 +334,16 @@ class TestModelCheckpoint:
         before = _listing(tmp_path)
         with pytest.raises(CheckpointError, match=f"ckpt.bin: extra metadata '{key}'"):
             save_model_checkpoint(path, model, extra_meta={"task_spec": {}, key: 1})
+        assert _listing(tmp_path) == before
+
+    def test_non_model_refused_by_type_name(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,
+                                                    vocab_size=5, num_classes=2, max_seq_len=4)))
+        before = _listing(tmp_path)
+        loaded = load_model_checkpoint(path)
+        with pytest.raises(TypeError, match="expected a Model, got LoadedModel"):
+            save_model_checkpoint(path, loaded)
         assert _listing(tmp_path) == before
 
     def test_collapsed_checkpoint_smaller_than_source(self, tmp_path):
@@ -586,28 +645,57 @@ class TestRefusedWrite:
         path = tmp_path / "x.bin"
         write_checkpoint(path, sample_tensors())
         before = _listing(tmp_path)
+        real_writev, calls = os.writev, []
 
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
+        def full_disk(fd, buffers):  # one buffer per call, then ENOSPC on the third
+            calls.append(len(buffers))
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_writev(fd, buffers[:1])
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes == 3:
-                    raise OSError(28, "No space left on device")
-                return self.fh.write(data)
-
-        monkeypatch.setattr(checkpoint, "open", lambda p, mode: FullDisk(open(p, mode)),
-                            raising=False)
+        monkeypatch.setattr(os, "writev", full_disk)
         with pytest.raises(OSError, match="No space left"):
             write_checkpoint(path, {"w": np.ones(4)}, {"step": 2})
+        assert len(calls) == 3
         assert _listing(tmp_path) == before
+
+    def test_short_writes_resume_where_they_stopped(self, tmp_path, monkeypatch):
+        real_writev, calls = os.writev, []
+
+        def seven_bytes(fd, buffers):
+            calls.append(len(buffers))
+            return real_writev(fd, [b"".join(memoryview(b).tobytes() for b in buffers)[:7]])
+
+        monkeypatch.setattr(os, "writev", seven_bytes)
+        tensors = dict(sample_tensors(), rank0=np.array(2.5), empty=np.zeros((0, 3)),
+                       transposed=np.arange(12.0).reshape(3, 4).T)
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, tensors)
+        raw = path.read_bytes()
+        assert raw == reference_encoding(tensors)
+        assert len(calls) == math.ceil(len(raw) / 7)
+
+    @pytest.mark.parametrize("count, size, dtype", [
+        (600, 1, np.int64),         # 1201 buffers, more than one os.writev takes
+        (12, 1 << 17, np.float64),  # 12 MiB
+    ], ids=["1201_buffers", "12_MiB"])
+    def test_large_writes_take_bounded_writev_calls(self, tmp_path, monkeypatch,
+                                                    count, size, dtype):
+        real_writev, calls = os.writev, []
+
+        def counted(fd, buffers):
+            calls.append([memoryview(b).nbytes for b in buffers])
+            return real_writev(fd, buffers)
+
+        monkeypatch.setattr(os, "writev", counted)
+        tensors = {f"r{i:03d}": np.full(size + i % 3, i, dtype=dtype) for i in range(count)}
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, tensors)
+        assert path.read_bytes() == reference_encoding(tensors)
+        assert len(calls) > 1 and sum(map(len, calls)) == 1 + 2 * count
+        for sizes in calls:  # each call adds no record once it holds _WRITEV_BYTES
+            assert len(sizes) <= os.sysconf("SC_IOV_MAX")
+            assert sum(sizes[:-2]) < checkpoint._WRITEV_BYTES
 
 
 def _records(raw: bytes):

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -201,6 +202,21 @@ class TestLoad:
         bad = bad.replace("[train]\n", f"[train]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             load_run_config(write(tmp_path, bad))
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(depth=3, dim=16, heads=2, expansion=2, vocab_size=9, num_classes=3,
+              max_seq_len=6, variant="mb", replaced_layers=[2, 0]),
+    ModelSpec(depth=3, dim=16, heads=2, expansion=2, vocab_size=9, num_classes=3,
+              max_seq_len=6, variant="sw"),
+    TaskSpec(task="char_lm", seq_len=4, noise=0.5),
+    TrainConfig(steps=7, warmup_steps=2, dtype="f64"),
+], ids=["model_replaced_layers", "model_all_layers", "task", "train"])
+def test_to_dict_is_asdict(spec):
+    got = spec.to_dict()
+    assert got == dataclasses.asdict(spec)
+    assert json.dumps(got, sort_keys=True) == json.dumps(dataclasses.asdict(spec), sort_keys=True)
+    assert spec.to_dict() is not got
 
 
 class TestResolvedRoundtrip:
