@@ -26,7 +26,7 @@ import numpy as np
 from .tensor import NonFiniteError, as_np_dtype
 
 MAGIC = b"EXFU"
-VERSION = 1
+VERSION = 2
 
 _CODES = {
     np.dtype(np.float32): 0,
@@ -250,7 +250,6 @@ def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
     if optimizer is not None:
         tensors.update(optimizer.state_arrays())
     meta = {
-        "format": "model",
         "model_spec": model.spec.to_dict(),
         "dtype": model.dtype,
         "step": int(step),
@@ -293,13 +292,6 @@ def _json_object(meta: dict, key: str) -> dict:
     return value
 
 
-def _model_format(meta: dict, key: str) -> str:
-    value = meta_str(meta, key)
-    if value != "model":
-        raise ValueError(f"expected 'model', got {value!r}")
-    return value
-
-
 def _model_spec(meta: dict, key: str):
     from .model import ModelSpec
 
@@ -319,15 +311,13 @@ def _step(meta: dict, key: str) -> int:
 # required ones are those save_model_checkpoint always writes; the rest are
 # what its ``extra_meta`` may add.
 _META = {
-    "format": _model_format,
     "model_spec": _model_spec,
     "dtype": _dtype_name,
     "step": _step,
     "task_spec": _json_object,
     "train_config": _json_object,
-    "exported_from": meta_str,
 }
-_REQUIRED_META = ("format", "model_spec", "dtype", "step")
+_REQUIRED_META = ("model_spec", "dtype", "step")
 _EXTRA_META = tuple(key for key in _META if key not in _REQUIRED_META)
 
 
@@ -351,8 +341,8 @@ def load_model_checkpoint(path) -> LoadedModel:
     of its trainable parameters (``opt/m/<name>``, ``opt/v/<name>``) and
     ``opt/step`` may be present. Every record but ``opt/step`` must have
     the dtype ``meta/dtype`` names. The metadata records are those in
-    ``_META``: ``meta/format`` must be ``"model"``, and ``meta/task_spec``
-    and ``meta/train_config``, where present, must be JSON objects.
+    ``_META``: ``meta/task_spec`` and ``meta/train_config``, where present,
+    must be JSON objects.
     """
     from .model import Model
 

@@ -62,10 +62,7 @@ def cmd_export(args) -> int:
     with no_grad():
         deviation = float(np.abs(model.forward(tokens).data - dense.forward(tokens).data).max())
 
-    extra = {"exported_from": str(args.ckpt)}
-    for key in ("task_spec", "train_config"):
-        if key in loaded.meta:
-            extra[key] = loaded.meta[key]
+    extra = {key: loaded.meta[key] for key in ("task_spec", "train_config") if key in loaded.meta}
     save_model_checkpoint(args.out, dense, step=loaded.step, extra_meta=extra)
     print(f"params before: {model.param_count()}")
     print(f"params after:  {dense.param_count()} "

@@ -70,15 +70,11 @@ def fuse(experts: ExpertAffine, weights) -> FusedAffine:
     return _fuse(experts, _checked_weights(experts, weights))
 
 
-def fused_ffn_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine,
-                      weights_up, weights_down) -> Tensor:
-    """Run the FFN through fused up/down expert sets, each fused as ``fuse`` does.
-
-    A weight vector the two sets share is checked once.
-    """
-    wu = _checked_weights(up, weights_up)
-    wd = wu if weights_down is weights_up else _checked_weights(down, weights_down)
-    fu, fd = _fuse(up, wu), _fuse(down, wd)
+def fused_ffn_forward(x: Tensor, up: ExpertAffine, down: ExpertAffine, weights) -> Tensor:
+    """Run the FFN through the up and down expert sets, both fused with the one
+    weight vector ``weights`` as ``fuse`` does; it is checked once."""
+    w = _checked_weights(up, weights)
+    fu, fd = _fuse(up, w), _fuse(down, w)
     h = gelu(affine(x, fu.weight, fu.bias))
     return affine(h, fd.weight, fd.bias)
 

@@ -52,8 +52,7 @@ class ModelSpec:
 
     ``replaced_layers`` is the set of block indices whose FFN follows
     ``variant``; ``None`` means every layer. ``num_experts``/``top_k``/
-    ``momentum``/``shared_router`` only matter for the multi-expert
-    variants.
+    ``momentum`` only matter for the multi-expert variants.
     """
 
     depth: int
@@ -69,7 +68,6 @@ class ModelSpec:
     top_k: int = 1
     momentum: float = 0.95
     replaced_layers: tuple[int, ...] | None = None
-    shared_router: bool = True
     expert_init: str = "independent"
     freeze_fusion_weights: bool = False
     seed: int = 0
@@ -141,9 +139,9 @@ class AttentionLayer:
 class FFNSlot:
     """Stacked up/down expert sets plus the variant's weight source.
 
-    Every kind but ``moe`` runs the same fused forward: the first controller
-    weights the up set and the last the down set. A dense slot is the
-    one-expert static fusion.
+    Every kind but ``moe`` runs the same fused forward: one weight vector,
+    from ``self.fusion``, fuses both the up and the down set. A dense slot
+    is the one-expert static fusion.
     """
 
     def __init__(self, name: str, kind: str, spec: ModelSpec, src: ArraySource):
@@ -154,35 +152,24 @@ class FFNSlot:
         self.down = ExpertAffine(name + ".down", n, spec.hidden, spec.dim, src, replicate)
         self.top_k = spec.top_k
         self.router: Router | None = None
-        self.controllers: list = []
+        self.fusion = None
         if kind in ("dense", "sw"):
-            self.controllers = [F.StaticFusion(n, src.dtype)]
+            self.fusion = F.StaticFusion(n, src.dtype)
         elif kind == "dw":
-            self.controllers = [
-                F.LearnedFusion(name + ".fusion", n, src, frozen=spec.freeze_fusion_weights)
-            ]
+            self.fusion = F.LearnedFusion(name + ".fusion", n, src,
+                                          frozen=spec.freeze_fusion_weights)
         elif kind == "mb":
-            tags = ("",) if spec.shared_router else (".up", ".down")
-            self.controllers = [
-                F.MemoryFusion(f"{name}.fusion{tag}",
-                               Router(f"{name}.router{tag}", spec.dim, n, src),
-                               spec.momentum, src)
-                for tag in tags
-            ]
+            router = Router(name + ".router", spec.dim, n, src)
+            self.fusion = F.MemoryFusion(name + ".fusion", router, spec.momentum, src)
         elif kind == "moe":
             self.router = Router(name + ".router", spec.dim, n, src)
         else:
             raise ValueError(f"unknown FFN slot kind {kind!r}")
 
-    def fusion_weights(self, x: Tensor | None, training: bool) -> tuple[Tensor, Tensor]:
-        """(up, down) fusion weights for this step; the eval weights ignore ``x``."""
-        ws = [c.step_weights(x, training) for c in self.controllers]
-        return ws[0], ws[-1]
-
     def forward(self, x: Tensor, training: bool) -> Tensor:
         if self.kind == "moe":
             return topk_moe_forward(x, self.up, self.down, self.router, self.top_k)
-        return F.fused_ffn_forward(x, self.up, self.down, *self.fusion_weights(x, training))
+        return F.fused_ffn_forward(x, self.up, self.down, self.fusion.step_weights(x, training))
 
 
 class TransformerBlock:
@@ -325,9 +312,7 @@ def expected_param_count(spec: ModelSpec) -> int:
         if spec.variant != "dense" and i in replaced:
             if spec.variant == "dw":
                 total += spec.num_experts
-            elif spec.variant == "mb":
-                total += router_params if spec.shared_router else 2 * router_params
-            elif spec.variant == "moe":
+            elif spec.variant in ("mb", "moe"):
                 total += router_params
     total += 2 * d                           # final layernorm
     total += d * spec.head_out + spec.head_out
@@ -338,7 +323,7 @@ def collapse_to_dense(model: Model) -> Model:
     """Export a plain dense model whose eval outputs match the source.
 
     Every multi-expert slot is replaced by the single affine pair that its
-    eval-mode fusion weights give through ``fusion.fuse``, the combine the
+    one eval-mode weight vector gives through ``fusion.fuse``, the combine the
     source model runs in its own eval forward, so eval logits agree
     bitwise; routers and banks are dropped. The dense model owns its
     arrays: the ones it keeps are copied, so it never aliases the source.
@@ -351,7 +336,8 @@ def collapse_to_dense(model: Model) -> Model:
     with no_grad():
         for block in model.blocks:
             slot = block.ffn
-            for experts, w in zip((slot.up, slot.down), slot.fusion_weights(None, training=False)):
+            w = slot.fusion.step_weights(None, training=False)
+            for experts in (slot.up, slot.down):
                 f = F.fuse(experts, w)
                 fused[names[id(experts.weight)]] = f.weight.data[None]
                 fused[names[id(experts.bias)]] = f.bias.data[None]

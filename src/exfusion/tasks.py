@@ -122,9 +122,9 @@ class CharLMTask:
 
     objective = "lm"
 
-    def __init__(self, spec: TaskSpec, text: str | None = None):
+    def __init__(self, spec: TaskSpec):
         self.spec = spec
-        text = text if text is not None else load_bundled_text()
+        text = load_bundled_text()
         chars = sorted(set(text))
         self.itos = chars
         self.stoi = {c: i for i, c in enumerate(chars)}

@@ -177,12 +177,13 @@ def model_spec_for_task(task, **kw) -> ModelSpec:
     )
 
 
-def _check_resume_settings(meta: dict, settings: dict, path) -> None:
-    """Refuse a resume whose task or train settings differ from those in the
-    checkpoint's decoded metadata ``meta``; a setting it lacks is not compared."""
+def _check_resume_settings(stored: dict, settings: dict, path) -> None:
+    """Refuse a resume whose model, task or train settings (each a dict, by
+    key) differ from the checkpoint's ``stored`` ones; a setting it lacks is
+    not compared."""
     changes = []
     for key, current in settings.items():
-        saved = meta.get(key, current)
+        saved = stored.get(key, current)
         changes += [f"{key}.{field} {saved.get(field)!r} -> {current.get(field)!r}"
                     for field in sorted(saved.keys() | current.keys())
                     if saved.get(field) != current.get(field)]
@@ -190,13 +191,24 @@ def _check_resume_settings(meta: dict, settings: dict, path) -> None:
         raise ValueError(f"resume settings differ from checkpoint {path}: " + "; ".join(changes))
 
 
-def _drop_rows_after(metrics_path: Path, step: int) -> None:
-    """Cut metrics rows past ``step``, so a resume does not log them twice."""
+def _rows_through(metrics_path: Path, step: int) -> list[str]:
+    """The header and the rows up to ``step`` of a metrics file, so a resume
+    does not log later rows twice. An empty file, or a row that does not
+    start with a step, is a ``ValueError`` naming the file and the line."""
     with open(metrics_path, newline="") as fh:
-        header, *rows = fh.readlines()
-    with open(metrics_path, "w", newline="") as fh:
-        fh.write(header)
-        fh.writelines(row for row in rows if int(row.split(",", 1)[0]) <= step)
+        lines = fh.readlines()
+    if not lines:
+        raise ValueError(f"{metrics_path}: empty metrics file, expected a header line")
+    kept = lines[:1]
+    for number, row in enumerate(lines[1:], start=2):
+        try:
+            row_step = int(row.split(",", 1)[0])
+        except ValueError:
+            raise ValueError(f"{metrics_path}: line {number} does not start with a step: "
+                             f"{row!r}") from None
+        if row_step <= step:
+            kept.append(row)
+    return kept
 
 
 def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
@@ -219,15 +231,19 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
 
     loaded = None
     settings = {"task_spec": task_spec.to_dict(), "train_config": cfg.to_dict()}
+    metrics_path = out_dir / "metrics.csv"
+    kept_rows = None
     if resume_from is not None:
         loaded = load_model_checkpoint(resume_from)
-        if loaded.model.spec != model_spec:
-            raise ValueError(f"checkpoint spec does not match run spec ({resume_from})")
-        _check_resume_settings(loaded.meta, settings, resume_from)
+        stored = dict(loaded.meta, model_spec=loaded.model.spec.to_dict())
+        _check_resume_settings(stored, {"model_spec": model_spec.to_dict(), **settings},
+                               resume_from)
         model = loaded.model
         start_step = loaded.step
         if start_step > cfg.steps:
             raise ValueError(f"checkpoint step {start_step} beyond configured steps {cfg.steps}")
+        if metrics_path.exists():
+            kept_rows = _rows_through(metrics_path, start_step)
     else:
         model = Model(model_spec, dtype=cfg.dtype)
         start_step = 0
@@ -243,12 +259,8 @@ def train_loop(model_spec: ModelSpec, task_spec: TaskSpec, cfg: TrainConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     if on_start is not None:
         on_start()
-    metrics_path = out_dir / "metrics.csv"
-    if resume_from is not None and metrics_path.exists():
-        _drop_rows_after(metrics_path, start_step)
-    else:
-        with open(metrics_path, "w", newline="\n") as fh:
-            fh.write("step,epoch,lr,train_loss,val_metric\n")
+    with open(metrics_path, "w", newline="") as fh:
+        fh.writelines(kept_rows or ["step,epoch,lr,train_loss,val_metric\n"])
 
     ckpt_paths: list[Path] = []
 

@@ -200,8 +200,7 @@ def _expected_model_file(model, step, opt, extra):
     """``save_model_checkpoint``'s file, built from the model's arrays and
     ``dataclasses.asdict`` of its spec by ``reference_encoding``."""
     tensors = dict(model.state_arrays(), **opt.state_arrays())
-    meta = dict(format="model", model_spec=dataclasses.asdict(model.spec), dtype=model.dtype,
-                step=step, **extra)
+    meta = dict(model_spec=dataclasses.asdict(model.spec), dtype=model.dtype, step=step, **extra)
     return reference_encoding(tensors, reference_meta(meta))
 
 
@@ -246,10 +245,9 @@ class TestWriterEncoding:
             assert path.read_bytes() == _expected_model_file(model, dim, opt, {})
 
 
-def _trained_mb(seed=3, shared_router=False):
+def _trained_mb(seed=3):
     spec = ModelSpec(depth=2, dim=16, heads=2, expansion=2, vocab_size=9, num_classes=3,
-                     max_seq_len=6, variant="mb", num_experts=4, shared_router=shared_router,
-                     seed=seed)
+                     max_seq_len=6, variant="mb", num_experts=4, seed=seed)
     model = Model(spec)
     opt = AdamW(model.named_parameters(), weight_decay=0.05)
     rng = np.random.default_rng(seed)
@@ -324,7 +322,7 @@ class TestModelCheckpoint:
         assert loaded.meta["task_spec"] == {"seed": 3}
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "over_existing"])
-    @pytest.mark.parametrize("key", ["rng_state", "format", "step"])
+    @pytest.mark.parametrize("key", ["rng_state", "format", "exported_from", "step"])
     def test_unknown_or_reserved_extra_meta_writes_nothing(self, tmp_path, key, existing):
         model = Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2, vocab_size=5,
                                 num_classes=2, max_seq_len=4))

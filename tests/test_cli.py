@@ -147,7 +147,8 @@ class TestTrainCommand:
         ("variant = mb", "variant = mb%", "variant"),
         ("steps = 20", "steps = %(x)s", "steps"),
         ("seed = 2", "seed = 2 \xff", "run.ini"),
-    ], ids=["percent", "interpolation", "not-utf8"])
+        ("[model]\n", "[model]\nshared_router = true\n", "unknown key 'shared_router'"),
+    ], ids=["percent", "interpolation", "not-utf8", "retired-key"])
     def test_unreadable_value_is_one_error_line(self, tmp_path, capsys, old, new, named):
         # values are literal: '%' is refused by key, not by configparser; a
         # file that is not UTF-8 is refused by name
@@ -173,6 +174,24 @@ class TestTrainCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "batch_size 8 -> 32" in err and "base_lr 0.002 -> 0.05" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("metrics", [
+        b"",
+        b"step,epoch,lr,train_loss,val_metric\n10,0,0.002,2.0,0.3\n\n20,0,0.002,1.9,0.4\n",
+    ], ids=["empty", "blank_row"])
+    def test_resume_with_unreadable_metrics_is_one_error_line(self, tmp_path, capsys,
+                                                              metrics):
+        code, out = train(tmp_path)
+        assert code == 0
+        (out / "metrics.csv").write_bytes(metrics)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = cli.main(["train", "--config", str(tmp_path / "run.ini"), "--out", str(out),
+                         "--resume", str(out / "ckpt_000000.bin")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "metrics.csv" in err[0]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_from_checkpoint_with_retired_setting_refused(self, tmp_path, capsys,
@@ -207,9 +226,20 @@ class TestExportCommand:
         baseline = int(text.split("dense baseline:")[1].split(")")[0])
         assert after == baseline < before
         source, exported = load_model_checkpoint(src), load_model_checkpoint(dst)
-        assert exported.meta["exported_from"] == str(src)
         for key in ("task_spec", "train_config"):
             assert exported.meta[key] == source.meta[key]
+
+    def test_export_does_not_depend_on_how_the_source_path_is_spelled(self, tmp_path,
+                                                                        monkeypatch):
+        train(tmp_path, out="a")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["export", "a/ckpt_000020.bin", "--out", "plain.bin"]) == 0
+        assert cli.main(["export", "./a/../a/ckpt_000020.bin", "--out", "dotted.bin"]) == 0
+        monkeypatch.chdir(tmp_path / "a")
+        assert cli.main(["export", "ckpt_000020.bin", "--out", "../local.bin"]) == 0
+        plain = (tmp_path / "plain.bin").read_bytes()
+        assert (tmp_path / "dotted.bin").read_bytes() == plain
+        assert (tmp_path / "local.bin").read_bytes() == plain
 
     def test_dense_input_is_written_unchanged(self, tmp_path):
         from exfusion.checkpoint import read_checkpoint
@@ -347,7 +377,12 @@ CORRUPT_RECORDS = [
      "meta/train_config"),
     ("unknown_meta", lambda tensors, meta: meta.update(bogus="x"), "meta/bogus"),
     ("invalid_format", lambda tensors, meta: meta.update(format="junk"), "meta/format"),
-    ("missing_format", _drop_meta("format"), "meta/format"),
+    # records of the v1 schema, left in a file with a v2 header
+    ("retired_format", lambda tensors, meta: meta.update(format="model"), "meta/format"),
+    ("retired_exported_from", lambda tensors, meta: meta.update(exported_from="a/ckpt.bin"),
+     "meta/exported_from"),
+    ("retired_shared_router", lambda tensors, meta: meta.update(
+        model_spec=dict(meta_json(meta, "model_spec"), shared_router=True)), "meta/model_spec"),
 ]
 
 # Faults in the optimizer records, which only a resume reads.
@@ -451,6 +486,26 @@ class TestCorruptRecords:
         err = capsys.readouterr().err
         assert "broken.bin" in err and f"duplicate record '{record}'" in err
         assert not (tmp_path / "x.bin").exists()
+
+
+class TestVersion1Refused:
+    """The v1 schema (with ``meta/format`` and ``shared_router``) is not read."""
+
+    @pytest.mark.parametrize("command", ["export", "eval", "resume"])
+    def test_one_error_line_and_nothing_written(self, tmp_path, capsys, saved_run, command):
+        cfg, raw = saved_run
+        ckpt = tmp_path / "old.bin"
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])  # the header's version field
+        out = tmp_path / "resumed"
+        argv = (["train", "--config", str(cfg), "--out", str(out), "--resume", str(ckpt)]
+                if command == "resume" else _load_argv(command, ckpt, cfg, tmp_path))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "old.bin" in err[0]
+        assert "version mismatch (file v1, reader v2)" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestResumeLoadFaults:

@@ -30,8 +30,8 @@ num_experts = 4
 top_k = 1
 momentum = 0.95
 replaced_layers = all
-shared_router = true
 expert_init = independent
+freeze_fusion_weights = false
 seed = 9
 
 [task]
@@ -70,7 +70,6 @@ num_experts = 3
 top_k = 2
 momentum = 0.9
 replaced_layers = 1
-shared_router = false
 expert_init = replicate
 freeze_fusion_weights = true
 seed = 9
@@ -142,7 +141,8 @@ class TestLoad:
     @pytest.mark.parametrize("section, line, key", [
         ("model", "swizzle = 1", "swizzle"),
         ("train", "deterministic = true", "deterministic"),  # a retired key
-    ], ids=["model_swizzle", "train_deterministic"])
+        ("model", "shared_router = true", "shared_router"),  # a retired key
+    ], ids=["model_swizzle", "train_deterministic", "model_shared_router"])
     def test_unknown_key_named(self, tmp_path, section, line, key):
         bad = FULL.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
         with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
@@ -183,13 +183,13 @@ class TestLoad:
         ("false", False), ("0", False), ("no", False), ("off", False), (" Off ", False),
     ])
     def test_boolean_spellings(self, tmp_path, raw, value):
-        run = load_run_config(write(tmp_path, FULL.replace("shared_router = true",
-                                                           f"shared_router = {raw}")))
-        assert run.model.shared_router is value
+        run = load_run_config(write(tmp_path, FULL.replace("freeze_fusion_weights = false",
+                                                           f"freeze_fusion_weights = {raw}")))
+        assert run.model.freeze_fusion_weights is value
 
     def test_non_boolean_names_key(self, tmp_path):
-        bad = FULL.replace("shared_router = true", "shared_router = maybe")
-        with pytest.raises(ConfigError, match="shared_router.*not a boolean"):
+        bad = FULL.replace("freeze_fusion_weights = false", "freeze_fusion_weights = maybe")
+        with pytest.raises(ConfigError, match="freeze_fusion_weights.*not a boolean"):
             load_run_config(write(tmp_path, bad))
 
     @pytest.mark.parametrize("key, value", [

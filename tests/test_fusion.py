@@ -92,7 +92,7 @@ class TestStaticFusion:
         down = make_set(n=1, d_in=8, d_out=4, seed=4, name="down")
         x = Tensor(np.random.default_rng(3).normal(size=(2, 4)).astype(np.float32))
         w = uniform_weights(1, "f32")
-        out = fused_ffn_forward(x, up, down, w, w)
+        out = fused_ffn_forward(x, up, down, w)
         h = gelu(add(matmul(x, Tensor(up.weight.data[0])), Tensor(up.bias.data[0])))
         want = add(matmul(h, Tensor(down.weight.data[0])), Tensor(down.bias.data[0]))
         np.testing.assert_array_equal(out.data, want.data)
@@ -102,7 +102,7 @@ class TestStaticFusion:
         down = ExpertAffine("down", 4, 8, 4, ArraySource("f32", 5), replicate=True)
         x = Tensor(np.random.default_rng(4).normal(size=(3, 4)).astype(np.float32))
         w = uniform_weights(4, "f32")
-        out = fused_ffn_forward(x, up, down, w, w)
+        out = fused_ffn_forward(x, up, down, w)
         h = gelu(add(matmul(x, Tensor(up.weight.data[0])), Tensor(up.bias.data[0])))
         want = add(matmul(h, Tensor(down.weight.data[0])), Tensor(down.bias.data[0]))
         np.testing.assert_allclose(out.data, want.data, atol=1e-6)
@@ -113,7 +113,7 @@ class TestStaticFusion:
         down = make_set(n, 8, 4, seed=6, name="down")
         x_np = np.random.default_rng(5).normal(size=(6, 4)).astype(np.float32)
         w = uniform_weights(n, "f32")
-        tsum(fused_ffn_forward(Tensor(x_np), up, down, w, w)).backward()
+        tsum(fused_ffn_forward(Tensor(x_np), up, down, w)).backward()
 
         # dense twin built from the fused parameters
         dw_up = Tensor(up.weight.data.mean(axis=0), requires_grad=True)
@@ -136,8 +136,8 @@ class TestLearnedFusion:
         lf = LearnedFusion("fusion", 4, ArraySource("f32"))
         learned = lf.step_weights(x, True)
         static = StaticFusion(4, "f32").step_weights(x, True)
-        got = fused_ffn_forward(x, up, down, learned, learned)
-        want = fused_ffn_forward(x, up, down, static, static)
+        got = fused_ffn_forward(x, up, down, learned)
+        want = fused_ffn_forward(x, up, down, static)
         assert got.data.tobytes() == want.data.tobytes()
 
     def test_one_hot_weights_select_pair(self):
@@ -146,7 +146,7 @@ class TestLearnedFusion:
         x = Tensor(np.random.default_rng(7).normal(size=(2, 4)).astype(np.float32))
         lf = LearnedFusion("fusion", 4, ArraySource("f32"))
         lf.weights.data = np.array([0.0, 0.0, 1.0, 0.0], dtype=np.float32)
-        out = fused_ffn_forward(x, up, down, lf.weights, lf.weights)
+        out = fused_ffn_forward(x, up, down, lf.weights)
         h = gelu(add(matmul(x, Tensor(up.weight.data[2])), Tensor(up.bias.data[2])))
         want = add(matmul(h, Tensor(down.weight.data[2])), Tensor(down.bias.data[2]))
         np.testing.assert_array_equal(out.data, want.data)
@@ -156,8 +156,7 @@ class TestLearnedFusion:
         down = make_set(3, 6, 4, seed=9, name="down")
         x_np = np.random.default_rng(8).normal(size=(5, 4))
         lf = LearnedFusion("fusion", 3, ArraySource("f32"))
-        loss = tsum(fused_ffn_forward(Tensor(x_np.astype(np.float32)), up, down, lf.weights,
-                                      lf.weights))
+        loss = tsum(fused_ffn_forward(Tensor(x_np.astype(np.float32)), up, down, lf.weights))
         loss.backward()
 
         up64 = ExpertAffine("u", 3, 4, 6, ArraySource("f64", 9))
@@ -167,7 +166,7 @@ class TestLearnedFusion:
 
         def f(w):
             wt = Tensor(w.copy())
-            return float(tsum(fused_ffn_forward(Tensor(x_np), up64, down64, wt, wt)).data)
+            return float(tsum(fused_ffn_forward(Tensor(x_np), up64, down64, wt)).data)
 
         num = numeric_gradient(lambda w: f(w), [lf.weights.data.astype(np.float64)], 0, 1e-3)
         assert max_rel_err(lf.weights.grad, num) < 1e-4
@@ -178,7 +177,7 @@ class TestLearnedFusion:
         lf = LearnedFusion("fusion", 3, ArraySource("f32"), frozen=True)
         x = Tensor(np.random.default_rng(9).normal(size=(2, 4)).astype(np.float32))
         w = lf.step_weights(x, True)
-        tsum(fused_ffn_forward(x, up, down, w, w)).backward()
+        tsum(fused_ffn_forward(x, up, down, w)).backward()
         assert lf.weights.grad is None and not lf.weights.requires_grad
 
 
@@ -258,9 +257,9 @@ class TestMemoryFusion:
         x = Tensor(np.random.default_rng(15).normal(size=(2, 3, 6)).astype(np.float32))
         w = mb.step_weights(x, training=True)
         np.testing.assert_allclose(mb.bank, 0.05 * 0.25, atol=1e-7)
-        out = fused_ffn_forward(x, up, down, w, w)
+        out = fused_ffn_forward(x, up, down, w)
         bank = np.full(4, 0.05 * 0.25, dtype=np.float32)
-        manual = fused_ffn_forward(x, up, down, bank, bank)
+        manual = fused_ffn_forward(x, up, down, bank)
         np.testing.assert_allclose(out.data, manual.data, atol=1e-6)
 
     def test_eval_mode_is_stateless_and_stable(self):
@@ -271,8 +270,8 @@ class TestMemoryFusion:
         mb.step_weights(x, training=True)
         bank_before = mb.bank.copy()
         wa, wb = mb.step_weights(x, training=False), mb.step_weights(x, training=False)
-        a = fused_ffn_forward(x, up, down, wa, wa)
-        b = fused_ffn_forward(x, up, down, wb, wb)
+        a = fused_ffn_forward(x, up, down, wa)
+        b = fused_ffn_forward(x, up, down, wb)
         assert a.data.tobytes() == b.data.tobytes()
         np.testing.assert_array_equal(mb.bank, bank_before)
 
@@ -298,7 +297,7 @@ class TestMemoryFusion:
         mb = self._mb(seed=18, delta=delta)
         mb.bank = bank0.copy()
         w = mb.step_weights(Tensor(x_np), True)
-        tsum(fused_ffn_forward(Tensor(x_np), up, down, w, w)).backward()
+        tsum(fused_ffn_forward(Tensor(x_np), up, down, w)).backward()
         assert mb.router.weight.grad is not None and np.any(mb.router.weight.grad != 0)
 
         up64 = ExpertAffine("u", 4, 6, 8, ArraySource("f64", 18))
@@ -315,7 +314,7 @@ class TestMemoryFusion:
             fixed.bank = bank0.astype(np.float64)
             w = fixed.step_weights(Tensor(x_np.astype(np.float64)), training=True)
             return float(tsum(fused_ffn_forward(Tensor(x_np.astype(np.float64)),
-                                                up64, down64, w, w)).data)
+                                                up64, down64, w)).data)
 
         num = numeric_gradient(f, [mb.router.weight.data.astype(np.float64)], 0, 1e-3)
         assert max_rel_err(mb.router.weight.grad, num) < 1e-4

@@ -59,6 +59,10 @@ class TestSpecValidation:
         spec = small_spec(variant="mb", replaced_layers=(1,))
         assert ModelSpec(**json.loads(json.dumps(spec.to_dict()))) == spec
 
+    def test_retired_shared_router_refused(self):
+        with pytest.raises(TypeError, match="shared_router"):
+            small_spec(variant="mb", shared_router=True)
+
 
 class TestAttention:
     def test_single_token_output_is_projected_value(self):
@@ -280,8 +284,8 @@ class TestTapeSize:
 class TestParamAudit:
     @pytest.mark.parametrize("variant", ["dense", "sw", "dw", "mb", "moe"])
     def test_count_matches_closed_form(self, variant):
-        for kw in (dict(), dict(replaced_layers=(1,)), dict(shared_router=False),
-                   dict(num_experts=3, top_k=2), dict(objective="lm")):
+        for kw in (dict(), dict(replaced_layers=(1,)), dict(num_experts=3, top_k=2),
+                   dict(objective="lm")):
             spec = small_spec(variant=variant, **kw)
             assert Model(spec).param_count() == expected_param_count(spec), (variant, kw)
 
@@ -297,9 +301,9 @@ def _names(named):
 class TestRegistry:
     """A model lists the arrays its one source created, in creation order."""
 
-    def test_mb_unshared_names_in_walk_order(self):
+    def test_mb_names_in_walk_order(self):
         # the order clip sums and AdamW steps in
-        model = Model(small_spec(variant="mb", shared_router=False, replaced_layers=(1,)))
+        model = Model(small_spec(variant="mb", replaced_layers=(1,)))
         assert _names(model.named_parameters()) == [
             "embed.weight", "pos.weight",
             "blocks.0.ln1.gain", "blocks.0.ln1.bias",
@@ -318,21 +322,16 @@ class TestRegistry:
             "blocks.1.ln2.gain", "blocks.1.ln2.bias",
             "blocks.1.ffn.up.weight", "blocks.1.ffn.up.bias",
             "blocks.1.ffn.down.weight", "blocks.1.ffn.down.bias",
-            "blocks.1.ffn.router.up.weight", "blocks.1.ffn.router.up.bias",
-            "blocks.1.ffn.router.down.weight", "blocks.1.ffn.router.down.bias",
+            "blocks.1.ffn.router.weight", "blocks.1.ffn.router.bias",
             "final_ln.gain", "final_ln.bias",
             "head.weight", "head.bias",
         ]
-        assert _names(model.named_buffers()) == [
-            "blocks.1.ffn.fusion.up.bank", "blocks.1.ffn.fusion.down.bank",
-        ]
+        assert _names(model.named_buffers()) == ["blocks.1.ffn.fusion.bank"]
 
     @pytest.mark.parametrize("objective", ["classification", "lm"])
-    @pytest.mark.parametrize("shared_router", [True, False], ids=["shared", "unshared"])
     @pytest.mark.parametrize("variant", ["dense", "moe", "sw", "dw", "mb"])
-    def test_names_unique_and_state_is_their_union(self, variant, shared_router, objective):
-        model = Model(small_spec(variant=variant, shared_router=shared_router,
-                                 objective=objective))
+    def test_names_unique_and_state_is_their_union(self, variant, objective):
+        model = Model(small_spec(variant=variant, objective=objective))
         params, buffers = _names(model.named_parameters()), _names(model.named_buffers())
         assert len(set(params)) == len(params) and len(set(buffers)) == len(buffers)
         assert not set(params) & set(buffers)
@@ -346,7 +345,7 @@ class TestRegistry:
         model.named_parameters().clear()
         model.named_buffers().clear()
         assert dict(model.named_parameters())["head.weight"] is model.head.weight
-        bank = model.blocks[0].ffn.controllers[0].bank
+        bank = model.blocks[0].ffn.fusion.bank
         assert dict(model.named_buffers())["blocks.0.ffn.fusion.bank"] is bank
 
 
@@ -397,11 +396,11 @@ class TestFullModelGradients:
 
 
 class TestBankState:
-    def _mb(self, **kw):
-        return Model(small_spec(variant="mb", **kw))
+    def _mb(self):
+        return Model(small_spec(variant="mb"))
 
     def test_state_arrays_bank_stays_live_across_a_step(self):
-        model = self._mb(shared_router=False)
+        model = self._mb()
         arrays = model.state_arrays()
         names = [name for name, _ in model.named_buffers()]
         before = {name: arrays[name].copy() for name in names}
@@ -456,8 +455,8 @@ class TestBankState:
 
 
 class TestCollapse:
-    def _trained_ish(self, variant, seed=13, **kw):
-        spec = small_spec(variant=variant, seed=seed, **kw)
+    def _trained_ish(self, variant, seed=13):
+        spec = small_spec(variant=variant, seed=seed)
         model = Model(spec)
         rng = np.random.default_rng(seed)
         # nudge every parameter and run a few training forwards so banks move
@@ -482,15 +481,6 @@ class TestCollapse:
             worst = max(worst, float(np.abs(a - b).max()))
         assert worst < 1e-5
 
-    def test_mb_unshared_router_collapse(self):
-        model = self._trained_ish("mb", shared_router=False)
-        dense = collapse_to_dense(model)
-        tokens = rand_tokens(model.spec, seed=15)
-        with no_grad():
-            a = model.forward(tokens).data
-            b = dense.forward(tokens).data
-        assert np.abs(a - b).max() < 1e-5
-
     def test_collapsed_count_equals_dense_baseline(self):
         for variant in ("sw", "dw", "mb"):
             model = self._trained_ish(variant)
@@ -514,7 +504,7 @@ class TestRebuiltModels:
     """Cast and dense export adopt arrays instead of drawing and overwriting."""
 
     def _moved_mb(self):
-        model = Model(small_spec(variant="mb", shared_router=False))
+        model = Model(small_spec(variant="mb"))
         for seed in range(2):
             model.forward(rand_tokens(model.spec, seed=seed), training=True)
         return model

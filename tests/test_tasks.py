@@ -112,8 +112,10 @@ class TestCharLM:
         np.testing.assert_array_equal(y.reshape(-1), t.val_ids[1:flat.size + 1])
 
     def test_too_long_seq_rejected(self):
+        # the validation region holds a tenth of the bundled text
+        seq_len = len(load_bundled_text()) // 10 + 1
         with pytest.raises(ValueError, match="too short"):
-            CharLMTask(TaskSpec(task="char_lm", seq_len=64, seed=0), text="tiny text " * 5)
+            CharLMTask(TaskSpec(task="char_lm", seq_len=seq_len, seed=0))
 
 
 def test_build_task_dispatch():

@@ -126,10 +126,10 @@ class TestTrainLoop:
         spec, task_spec, cfg = tiny_run(steps=10, checkpoint_interval=5)
         train_loop(spec, task_spec, cfg, tmp_path, halt_at_step=5)
         other_spec, _, _ = tiny_run(model_kw=dict(seed=4))
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="resume settings differ") as info:
             train_loop(other_spec, task_spec, cfg, tmp_path,
                        resume_from=tmp_path / "ckpt_000005.bin")
-
+        assert "model_spec.seed 3 -> 4" in str(info.value)
 
     def test_resume_from_earlier_step_drops_later_rows(self, tmp_path):
         spec, task_spec, cfg = tiny_run(variant="mb", steps=24, log_interval=6,
@@ -141,6 +141,24 @@ class TestTrainLoop:
         full = (tmp_path / "full/metrics.csv").read_bytes()
         assert (tmp_path / "part/metrics.csv").read_bytes() == full
         assert [row.split(b",")[0] for row in full.splitlines()[1:]] == [b"6", b"12", b"18", b"24"]
+
+    @pytest.mark.parametrize("metrics, line", [
+        (b"", "empty metrics file"),
+        (b"step,epoch,lr,train_loss,val_metric\n5,0,0.003,1.5,0.5\n\n", "line 3"),
+        (b"step,epoch,lr,train_loss,val_metric\nfive,0,0.003,1.5,0.5\n6,0,0.003,1.4,0.5\n",
+         "line 2"),
+    ], ids=["empty", "blank_row", "non_numeric_step"])
+    def test_unreadable_metrics_refused_before_any_write(self, tmp_path, metrics, line):
+        spec, task_spec, cfg = tiny_run(steps=10, checkpoint_interval=5)
+        train_loop(spec, task_spec, cfg, tmp_path, halt_at_step=5)
+        (tmp_path / "metrics.csv").write_bytes(metrics)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        started = []
+        with pytest.raises(ValueError, match=f"metrics.csv: {line}"):
+            train_loop(spec, task_spec, cfg, tmp_path, resume_from=tmp_path / "ckpt_000005.bin",
+                       on_start=lambda: started.append(True))
+        assert started == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("train_change, task_change, fields", [
         (dict(batch_size=32), {}, ["train_config.batch_size 8 -> 32"]),
@@ -214,9 +232,10 @@ class TestEveryParameterHasAGradient:
     training step, with nothing cleared or filled in by hand."""
 
     @pytest.mark.parametrize("option", [
-        {}, dict(shared_router=False), dict(expert_init="replicate"),
-        dict(freeze_fusion_weights=True), dict(replaced_layers=(1,)), dict(top_k=2),
-    ], ids=["defaults", "unshared-router", "replicate", "frozen-weights", "layer-1", "top-2"])
+        {}, dict(expert_init="replicate"), dict(freeze_fusion_weights=True),
+        dict(replaced_layers=(1,)), dict(top_k=2),
+        dict(expert_init="replicate", freeze_fusion_weights=True, replaced_layers=(1,), top_k=2),
+    ], ids=["defaults", "replicate", "frozen-weights", "layer-1", "top-2", "all-options"])
     @pytest.mark.parametrize("task", ["synthetic_cluster", "char_lm"])
     @pytest.mark.parametrize("variant", ["dense", "moe", "sw", "dw", "mb"])
     def test_one_step_updates_every_parameter(self, variant, task, option):
