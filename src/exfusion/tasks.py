@@ -157,10 +157,13 @@ class CharLMTask:
         return self._windows[starts], self._windows[starts + 1]
 
     def val_data(self):
+        """The validation text as [n, seq_len] windows that do not overlap, and
+        their targets one character further: read-only views of ``val_ids``."""
         l = self.spec.seq_len
         n = (len(self.val_ids) - 1) // l
-        x = np.stack([self.val_ids[i * l:(i + 1) * l] for i in range(n)])
-        y = np.stack([self.val_ids[i * l + 1:(i + 1) * l + 1] for i in range(n)])
+        x = self.val_ids[:n * l].reshape(n, l)
+        y = self.val_ids[1:n * l + 1].reshape(n, l)
+        x.flags.writeable = y.flags.writeable = False
         return x, y
 
 

@@ -510,94 +510,76 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian-CDF GELU x*Phi(x) (erf form, not the tanh approximation).
 
     float64 uses scipy's erf, loaded on the first float64 call, and is the
-    reference. float32 uses the clamped rational erf of Eigen and XLA, within
-    5e-7*max(1, |x|) of the float64 result.
+    reference. float32 takes Phi from one tanh of a polynomial fitted to the
+    erf form, within 5e-7*max(1, |x|) of the float64 result. A recorded op
+    keeps its derivative Phi + x*phi(x) from the forward pass, so the vjp of
+    either dtype is one product.
     """
     x = a.data
+    record = _grad_enabled and a.requires_grad
     if x.dtype == np.float32:
-        return _gelu_f32(a)
-    # scipy.special loads slower than the rest of the program and no float32
-    # run needs it. A local import, not a global set on first use, so this
-    # module's attributes never change after import.
-    from scipy.special import erf
+        out, deriv = _gelu_f32(x, record)
+    else:
+        # scipy.special loads slower than the rest of the program and no float32
+        # run needs it. A local import, not a global set on first use, so this
+        # module's attributes never change after import.
+        from scipy.special import erf
 
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        out = x * cdf
+        deriv = cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI) if record else None
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        return (g * deriv,)
 
     return Tensor._from_op(out, (a,), vjp)
 
 
-# Eigen's generic_fast_erf_float: erf(z) = z*P(z^2)/Q(z^2) on z clamped to
-# [-4, 4], beyond which erf is +-1 in float32. Monomial coefficients from the
-# highest power down. P is stored halved (exact in binary), so the quotient is
-# erf(z)/2 and Phi = 0.5 + quotient, bit for bit 0.5*(1 + erf(z)).
-_ERF_P_HALF = np.float32(0.5) * np.array(
-    [-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
-     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
-     -1.60960333262415e-02], dtype=np.float32)
-_ERF_Q = np.array(
-    [-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
-     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
-_GELU_BLOCK = 1 << 16  # elements per pass: three float32 scratch blocks stay in L2
+# Phi(x) = (1 + tanh(x*P(x^2)))/2, P the weighted least-squares fit of
+# atanh(erf(x/sqrt(2)))/x on [0, 6], degree 6 in x^2, highest power first.
+# x^2 is clamped to 36, past which tanh is +-1 in float32, and x to +-14.5,
+# past which exp(-x^2/2) is 0 in float32, so no finite input overflows.
+_GELU_P = np.array([1.8466993e-09, -1.3573175e-07, 4.0126170e-06, -5.5604040e-05,
+                    -3.1741263e-05, 0.036332063, 0.79788530], dtype=np.float32)
+_GELU_BLOCK = 1 << 16  # elements per pass: two float32 scratch blocks stay in L2
 
 
-def _horner(coeffs: np.ndarray, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.multiply(z2, coeffs[0], out=out)
-    np.add(out, coeffs[1], out=out)
-    for c in coeffs[2:]:
-        np.multiply(out, z2, out=out)
-        np.add(out, c, out=out)
-    return out
-
-
-def _gelu_f32(a: Tensor) -> Tensor:
-    """float32 GELU in flat blocks with in-place ufuncs: no full-size temporaries.
-
-    The CDF is kept for the vjp only when the op is recorded on the tape.
-    """
-    xf = a.data.reshape(-1)
+def _gelu_f32(x: np.ndarray, record: bool):
+    """float32 (x*Phi(x), Phi + x*phi(x) or None) in flat blocks with in-place
+    ufuncs; the derivative is built only for a recorded op."""
+    xf = x.reshape(-1)
     n = xf.size
     out = np.empty_like(xf)
-    record = _grad_enabled and a.requires_grad
-    cdf = np.empty_like(xf) if record else None
+    deriv = np.empty_like(xf) if record else None
     m = min(n, _GELU_BLOCK)
-    z_buf, z2_buf, p_buf = (np.empty(m, np.float32) for _ in range(3))
-    for s in range(0, n, _GELU_BLOCK):
-        blk = slice(s, min(s + _GELU_BLOCK, n))
-        k = blk.stop - s
-        x, z, z2, p = xf[blk], z_buf[:k], z2_buf[:k], p_buf[:k]
-        np.multiply(x, _INV_SQRT2, out=z)
-        np.clip(z, -4.0, 4.0, out=z)
-        np.multiply(z, z, out=z2)
-        np.multiply(_horner(_ERF_P_HALF, z2, p), z, out=p)
-        q = _horner(_ERF_Q, z2, z)
-        phi = cdf[blk] if record else z
-        np.divide(p, q, out=phi)
-        np.add(phi, 0.5, out=phi)
-        np.multiply(x, phi, out=out[blk])
-
-    def vjp(g):
-        # g * (Phi + x * exp(-x^2/2) / sqrt(2*pi)), block by block
-        gf = g.reshape(-1)
-        dx = np.empty_like(xf)
-        t_buf = np.empty(m, np.float32)
-        for s in range(0, n, _GELU_BLOCK):
-            blk = slice(s, min(s + _GELU_BLOCK, n))
-            x, t = xf[blk], t_buf[: blk.stop - s]
-            np.multiply(x, x, out=t)
-            np.multiply(t, -0.5, out=t)
-            np.exp(t, out=t)
-            np.multiply(t, x, out=t)
-            np.multiply(t, _INV_SQRT2PI, out=t)
-            np.add(t, cdf[blk], out=t)
-            np.multiply(t, gf[blk], out=dx[blk])
-        return (dx.reshape(a.shape),)
-
-    return Tensor._from_op(out.reshape(a.shape), (a,), vjp)
+    xc_buf, s_buf = np.empty(m, np.float32), np.empty(m, np.float32)
+    for i in range(0, n, _GELU_BLOCK):
+        blk = slice(i, min(i + _GELU_BLOCK, n))
+        k = blk.stop - i
+        xb, xc, s, o = xf[blk], xc_buf[:k], s_buf[:k], out[blk]
+        np.clip(xb, -14.5, 14.5, out=xc)
+        np.multiply(xc, xc, out=s)
+        np.minimum(s, 36.0, out=s)
+        np.multiply(s, _GELU_P[0], out=o)
+        for c in _GELU_P[1:-1]:
+            np.add(o, c, out=o)
+            np.multiply(o, s, out=o)
+        np.add(o, _GELU_P[-1], out=o)
+        cdf = deriv[blk] if record else o
+        np.multiply(o, xc, out=cdf)
+        np.tanh(cdf, out=cdf)
+        np.add(cdf, 1.0, out=cdf)
+        np.multiply(cdf, 0.5, out=cdf)
+        np.multiply(xb, cdf, out=o)
+        if record:
+            # Phi + x * exp(-x^2/2) / sqrt(2*pi)
+            np.multiply(xc, xc, out=s)
+            np.multiply(s, -0.5, out=s)
+            np.exp(s, out=s)
+            np.multiply(s, xc, out=s)
+            np.multiply(s, _INV_SQRT2PI, out=s)
+            np.add(cdf, s, out=cdf)
+    return out.reshape(x.shape), deriv.reshape(x.shape) if record else None
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -668,9 +650,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     shifted = x - _row_max(x)
     e = np.exp(shifted)
     z = np.add.reduce(e, axis=1, keepdims=True)
-    logp = shifted - np.log(z)
     rows = np.arange(n)
-    loss = np.asarray(-logp[rows, t].mean(), dtype=x.dtype)
+    # the target entries of log-softmax only: shifted - log z on n entries, not n * c
+    logp = shifted[rows, t] - np.log(z).reshape(n)
+    loss = np.asarray(-logp.mean(), dtype=x.dtype)
 
     def vjp(g):
         p = e / z

@@ -111,6 +111,21 @@ class TestCharLM:
         np.testing.assert_array_equal(flat, t.val_ids[:flat.size])
         np.testing.assert_array_equal(y.reshape(-1), t.val_ids[1:flat.size + 1])
 
+    @pytest.mark.parametrize("seq_len", [1, 10, 32, 33])
+    def test_val_windows_are_read_only_views_of_the_stacked_bytes(self, seq_len):
+        t = CharLMTask(TaskSpec(task="char_lm", seq_len=seq_len, seed=2))
+        l, n = seq_len, (len(t.val_ids) - 1) // seq_len
+        want_x = np.stack([t.val_ids[i * l:(i + 1) * l] for i in range(n)])
+        want_y = np.stack([t.val_ids[i * l + 1:(i + 1) * l + 1] for i in range(n)])
+        x, y = t.val_data()
+        for got, want in ((x, want_x), (y, want_y)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, t.val_ids)
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 0
+        assert t.val_ids.flags.writeable
+
     def test_too_long_seq_rejected(self):
         # the validation region holds a tenth of the bundled text
         seq_len = len(load_bundled_text()) // 10 + 1

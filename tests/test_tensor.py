@@ -1,9 +1,13 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 from exfusion import tensor as T
@@ -327,13 +331,16 @@ def _gelu64_ref(x):
 
 class TestGelu:
     def test_f32_error_bound(self):
-        edge = np.float32(4.0 * math.sqrt(2.0))  # where the erf argument is clamped
-        near_edge = [edge]
-        for direction in (np.inf, -np.inf):
-            v = edge
-            for _ in range(8):
-                v = np.nextafter(v, np.float32(direction))
-                near_edge.append(v)
+        # 4*sqrt(2), where the rational erf clamped its argument; 6, where the
+        # polynomial's argument is clamped; 14.5, where x is
+        near_edge = []
+        for edge in (np.float32(4.0 * math.sqrt(2.0)), np.float32(6.0), np.float32(14.5)):
+            near_edge.append(edge)
+            for direction in (np.inf, -np.inf):
+                v = edge
+                for _ in range(8):
+                    v = np.nextafter(v, np.float32(direction))
+                    near_edge.append(v)
         near_edge = np.array(near_edge, dtype=np.float32)
         x = np.concatenate([
             np.linspace(-12, 12, 480_001).astype(np.float32),
@@ -391,6 +398,41 @@ class TestGelu:
         assert y.data.tobytes() == (x * cdf).tobytes()
         pdf = np.exp(-0.5 * x * x) * T._INV_SQRT2PI
         assert y._vjp(g)[0].tobytes() == (g * (cdf + x * pdf)).tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           transposed=st.booleans())
+    def test_properties(self, data, dtype, transposed):
+        """Any shape, layout and finite value: the f32 bounds against the f64
+        reference, the f64 scipy formula, recorded bytes equal to unrecorded
+        ones, and no RuntimeWarning."""
+        top = float(np.finfo(np.float32).max) if dtype == np.float32 else 1e150
+        values = st.one_of(st.floats(-16.0, 16.0, width=np.dtype(dtype).itemsize * 8),
+                           st.floats(-top, top, width=np.dtype(dtype).itemsize * 8))
+        shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=5))
+        x = data.draw(hnp.arrays(dtype, shape, elements=values))
+        g = data.draw(hnp.arrays(dtype, shape, elements=st.floats(-2.0**100, 2.0**100, width=32)))
+        if transposed:
+            x, g = x.T, g.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            y = gelu(Tensor(x, requires_grad=True))
+            with no_grad():
+                evaluated = gelu(Tensor(x, requires_grad=True))
+            dx = y._vjp(g)[0]
+        assert y.data.dtype == dx.dtype == dtype and y.shape == dx.shape == x.shape
+        assert y.data.tobytes() == evaluated.data.tobytes()
+        x64, g64 = x.astype(np.float64), g.astype(np.float64)
+        cdf = 0.5 * (1.0 + erf(x64 * T._INV_SQRT2))
+        deriv = cdf + x64 * (np.exp(-0.5 * x64 * x64) * T._INV_SQRT2PI)
+        if dtype == np.float64:
+            assert y.data.tobytes() == (x * cdf).tobytes()
+            assert dx.tobytes() == (g * deriv).tobytes()
+        else:
+            err = np.abs(y.data - x64 * cdf)
+            assert (err <= 5e-7 * np.maximum(1.0, np.abs(x64))).all()
+            err = np.abs(dx - g64 * deriv)
+            assert (err <= 1e-6 * np.abs(g64) * np.maximum(1.0, np.abs(deriv))).all()
 
     def test_scipy_erf_sees_only_float64(self, monkeypatch):
         seen = []
@@ -759,6 +801,21 @@ class TestRowMaxAndMeans:
         targets[:3] = (0, 0, c - 1)  # the tied +0, the tied -0 and the lone -0
         _assert_unchanged_by(monkeypatch, "_row_max", _old_row_max,
                              lambda t: cross_entropy(t, targets), [x], np.asarray(1.5, dtype))
+
+    @pytest.mark.parametrize("c", [1, 65])
+    @pytest.mark.parametrize("n", [1, 70])
+    def test_cross_entropy_is_the_full_log_softmax_formula(self, dtype, n, c):
+        """Gathering the targets before subtracting log z gives the bytes of
+        building every row's whole log-softmax and gathering from it."""
+        rng = np.random.default_rng(6)
+        x = (rng.normal(size=(n, c)) * 3.0).astype(dtype)
+        x[::3, 0] = -0.0
+        t = rng.integers(0, c, size=n)
+        shifted = x - T._row_max(x)
+        logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        want = np.asarray(-logp[np.arange(n), t].mean(), dtype=dtype)
+        got = cross_entropy(Tensor(x), t).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
     def test_attention_unchanged(self, monkeypatch, dtype, masked):
