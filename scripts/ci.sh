@@ -8,7 +8,8 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 python3 -m pytest -q --durations=10
-python3 -m exfusion._entry verify all --seed 1 --deterministic
+# A numpy overflow or invalid value fails verify, as it fails the unit suite.
+python3 -W error::RuntimeWarning -m exfusion._entry verify all --seed 1 --deterministic
 
 if [ "${1:-}" = "--bench" ]; then
     shift

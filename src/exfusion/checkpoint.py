@@ -1,16 +1,13 @@
-"""Versioned binary container for named tensors.
+"""Versioned binary container for named tensors and one JSON metadata object.
 
 Layout (all little-endian):
 
-    magic 'EXFU' | u32 version | u32 record count
+    magic 'EXFU' | u32 version | u32 record count | u32 metadata length
+    | metadata: one UTF-8 JSON object, keys sorted
     per record: u32 name length | name utf-8 | u8 dtype code | u8 rank
                 | rank x u64 dims | raw payload
 
-Scalar metadata rides along as records with a ``meta/`` prefix, placed
-after the model tensors: strings as uint8 bytes, ints as int64[1], floats
-as float64[1], structured values as JSON bytes, so no tensor name may
-begin with ``meta/``. Round-trips are bit-exact; a version mismatch refuses
-to load.
+Round-trips are bit-exact; a version mismatch refuses to load.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 from .tensor import NonFiniteError, as_np_dtype
 
 MAGIC = b"EXFU"
-VERSION = 2
+VERSION = 3
 
 _CODES = {
     np.dtype(np.float32): 0,
@@ -41,36 +38,7 @@ class CheckpointError(RuntimeError):
     """Raised for unreadable, truncated, or version-mismatched checkpoints."""
 
 
-def _encode_meta_value(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value
-    if isinstance(value, str):
-        return np.frombuffer(value.encode("utf-8"), dtype=np.uint8).copy()
-    if isinstance(value, (int, np.integer)):
-        return np.array([value], dtype=np.int64)
-    if isinstance(value, (float, np.floating)):
-        return np.array([value], dtype=np.float64)
-    if isinstance(value, (dict, list, tuple)):
-        return np.frombuffer(json.dumps(value, sort_keys=True).encode("utf-8"), dtype=np.uint8).copy()
-    raise TypeError(f"cannot encode metadata value of type {type(value).__name__}")
-
-
-def meta_str(meta: dict, key: str) -> str:
-    arr = meta[key]
-    if arr.dtype != np.uint8 or arr.ndim != 1:
-        raise ValueError(f"expected uint8 bytes, got {arr.dtype} of shape {arr.shape}")
-    return bytes(arr).decode("utf-8")
-
-
-def meta_json(meta: dict, key: str):
-    return json.loads(meta_str(meta, key))
-
-
-def meta_int(meta: dict, key: str) -> int:
-    return int(meta[key][0])
-
-
-_HEAD = struct.Struct("<II")  # version, record count
+_HEAD = struct.Struct("<III")  # version, record count, metadata length
 _U32 = struct.Struct("<I")
 _LITTLE = {code: dt.newbyteorder("<") for code, dt in _DTYPES.items()}
 # Bytes one os.writev call gathers before the next begins. On ext4 one 28.6 MB
@@ -109,25 +77,20 @@ def _write_all(fd: int, buffers: list, size: int) -> None:
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write tensors plus metadata; tensor records sorted by name, meta after.
+    """Write ``meta`` as the header's JSON object, then the tensors sorted by name.
 
-    Every record is encoded and checked before the file is opened: an
-    unsupported dtype, or a tensor name in the ``meta/`` namespace (it would
-    read back as metadata), is refused with nothing written. A write that
-    fails partway removes its ``.tmp`` file; the target is only ever
-    replaced whole.
+    The metadata and every record are encoded and checked before the file
+    is opened: a value JSON cannot hold (NaN and infinities included) or an
+    unsupported dtype is refused with nothing written. A write that fails
+    partway removes its ``.tmp`` file; the target is only ever replaced whole.
     """
     path = Path(path)
-    meta = meta or {}
-    reserved = next((name for name in tensors if name.startswith("meta/")), None)
-    if reserved is not None:
-        raise CheckpointError(f"tensor {reserved!r} uses the reserved 'meta/' prefix")
+    encoded = json.dumps(meta or {}, sort_keys=True, allow_nan=False).encode("utf-8")
     records = [_record_bytes(name, np.asarray(arr)) for name, arr in sorted(tensors.items())]
-    records += [_record_bytes("meta/" + k, _encode_meta_value(v)) for k, v in sorted(meta.items())]
     # One os.writev call per batch: at most IOV_MAX buffers, and no record
     # added once it holds _WRITEV_BYTES.
     iov_max = os.sysconf("SC_IOV_MAX")
-    batches = [[MAGIC + _HEAD.pack(VERSION, len(records))]]
+    batches = [[MAGIC + _HEAD.pack(VERSION, len(records), len(encoded)) + encoded]]
     sizes = [len(batches[0][0])]
     for header, payload in records:
         if len(batches[-1]) + 2 > iov_max or sizes[-1] >= _WRITEV_BYTES:
@@ -153,9 +116,35 @@ def _truncated(path, n: int, left: int) -> CheckpointError:
     return CheckpointError(f"{path}: truncated checkpoint ({n} bytes declared, {left} left)")
 
 
-def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Load (tensors, meta). Meta values come back as raw arrays; use the
-    ``meta_*`` helpers to decode them. A name may appear only once.
+def _decoded_meta(path, raw: bytes) -> dict:
+    """The header's metadata: one JSON object of finite numbers, no key in it
+    written twice; anything else is a ``CheckpointError`` naming the file."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CheckpointError(f"{path}: metadata key {key!r} is written twice")
+            obj[key] = value
+        return obj
+
+    try:  # a UnicodeDecodeError and a JSONDecodeError are ValueErrors
+        meta = json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: metadata is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
+    for key, value in meta.items():
+        try:  # NaN and infinities, which the writer refuses
+            json.dumps(value, allow_nan=False)
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointError(f"{path}: metadata {key!r} is not finite JSON: {exc}") from None
+    return meta
+
+
+def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Load (tensors, meta), ``meta`` decoded by ``_decoded_meta``. A record
+    name may appear only once.
 
     The reader tracks its own offset: each declared length is checked
     against the bytes left in the file before it is read, and each payload
@@ -170,16 +159,22 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             raise _truncated(path, 4, size)
         if read(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        if size < 12:
-            raise _truncated(path, 8, size - 4)
-        version, count = _HEAD.unpack(read(8))
+        if size < 8:
+            raise _truncated(path, 4, size - 4)
+        (version,) = _U32.unpack(read(4))
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: version mismatch (file v{version}, reader v{VERSION}); refusing to load"
             )
+        if size < 16:
+            raise _truncated(path, 8, size - 8)
+        count, meta_len = struct.unpack("<II", read(8))
+        left = size - 16  # bytes after the reader's offset
+        if meta_len > left:
+            raise _truncated(path, meta_len, left)
+        meta = _decoded_meta(path, read(meta_len))
+        left -= meta_len
         tensors: dict[str, np.ndarray] = {}
-        meta: dict[str, np.ndarray] = {}
-        left = size - 12  # bytes after the reader's offset
         for _ in range(count):
             if left < 4:
                 raise _truncated(path, 4, left)
@@ -196,11 +191,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             except UnicodeDecodeError:
                 raise CheckpointError(
                     f"{path}: record name at byte {size - left} is not UTF-8") from None
-            if name.startswith("meta/"):
-                into, key = meta, name[5:]
-            else:
-                into, key = tensors, name
-            if key in into:
+            if name in tensors:
                 raise CheckpointError(f"{path}: duplicate record {name!r}")
             left -= name_len
             if left < 2:
@@ -225,7 +216,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
             if fh.readinto(arr) != nbytes:
                 raise CheckpointError(f"{path}: short read of {name!r}")
             left -= nbytes
-            into[key] = arr.astype(_DTYPES[code], copy=False)
+            tensors[name] = arr.astype(_DTYPES[code], copy=False)
         if left:
             raise CheckpointError(f"{path}: trailing bytes after declared records")
     return tensors, meta
@@ -237,7 +228,7 @@ def read_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
 def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
                           extra_meta: dict | None = None) -> None:
     """Write the model, and the optimizer's state if given. ``extra_meta``
-    may hold only the optional metadata records (``_EXTRA_META``); any other
+    may hold only the optional metadata keys (``_EXTRA_META``); any other
     key is refused before the file is opened."""
     from .model import Model  # local import to keep this module light
 
@@ -249,19 +240,13 @@ def save_model_checkpoint(path, model, step: int = 0, optimizer=None,
     tensors = model.state_arrays()
     if optimizer is not None:
         tensors.update(optimizer.state_arrays())
-    meta = {
-        "model_spec": model.spec.to_dict(),
-        "dtype": model.dtype,
-        "step": int(step),
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+    meta = dict(extra_meta or {}, model_spec=model.spec.to_dict(), dtype=model.dtype,
+                step=int(step))
     write_checkpoint(path, tensors, meta)
 
 
 class LoadedModel:
-    """A rebuilt model, its step, its decoded metadata (key -> value, as
-    ``_META`` decodes it) and its optimizer records."""
+    """A rebuilt model, its step, its checked metadata and its optimizer records."""
 
     def __init__(self, model, step: int, meta: dict, opt_arrays: dict):
         self.model = model
@@ -270,92 +255,55 @@ class LoadedModel:
         self.opt_arrays = opt_arrays
 
 
-def _meta_field(path, meta: dict, key: str, decode):
-    if key not in meta:
-        raise CheckpointError(f"{path}: missing record 'meta/{key}'")
-    try:
-        return decode(meta, key)
-    except (TypeError, ValueError, IndexError, RecursionError) as exc:
-        raise CheckpointError(f"{path}: record 'meta/{key}' is invalid: {exc}") from None
-
-
-def _dtype_name(meta: dict, key: str) -> str:
-    name = meta_str(meta, key)
-    as_np_dtype(name)
-    return name
-
-
-def _json_object(meta: dict, key: str) -> dict:
-    value = meta_json(meta, key)
-    if not isinstance(value, dict):
-        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _model_spec(meta: dict, key: str):
-    from .model import ModelSpec
-
-    return ModelSpec(**_json_object(meta, key))
-
-
-def _step(meta: dict, key: str) -> int:
-    if meta[key].dtype != np.int64 or meta[key].shape != (1,):
-        raise ValueError(f"expected one int64, got {meta[key].dtype} of shape {meta[key].shape}")
-    step = meta_int(meta, key)
-    if step < 0:
-        raise ValueError(f"must be non-negative; got {step}")
-    return step
-
-
-# Every metadata record a model checkpoint may hold, with its decoder. The
-# required ones are those save_model_checkpoint always writes; the rest are
-# what its ``extra_meta`` may add.
-_META = {
-    "model_spec": _model_spec,
-    "dtype": _dtype_name,
-    "step": _step,
-    "task_spec": _json_object,
-    "train_config": _json_object,
-}
+# Every metadata key a model checkpoint may hold, with the type JSON decodes
+# its value to. The required keys are those save_model_checkpoint always
+# writes; the rest are what its ``extra_meta`` may add.
+_META = {"model_spec": dict, "dtype": str, "step": int, "task_spec": dict, "train_config": dict}
 _REQUIRED_META = ("model_spec", "dtype", "step")
 _EXTRA_META = tuple(key for key in _META if key not in _REQUIRED_META)
-
-
-def _decoded_meta(path, meta: dict) -> dict:
-    """Each metadata record decoded by its ``_META`` entry. An unknown,
-    missing or invalid record is a ``CheckpointError`` naming it."""
-    unknown = next((key for key in meta if key not in _META), None)
-    if unknown is not None:
-        raise CheckpointError(f"{path}: unknown record 'meta/{unknown}'")
-    return {key: _meta_field(path, meta, key, decode) for key, decode in _META.items()
-            if key in meta or key in _REQUIRED_META}
 
 
 def load_model_checkpoint(path) -> LoadedModel:
     """Rebuild the saved model from its records, adopting them as its arrays.
 
-    Every fault in what the file holds (a missing, wrong-shaped or
-    non-finite record, unknown or undecodable metadata, a record the model
-    does not use) is a ``CheckpointError`` naming the file and the record.
-    Besides the model's parameters and buffers, only the optimizer moments
-    of its trainable parameters (``opt/m/<name>``, ``opt/v/<name>``) and
-    ``opt/step`` may be present. Every record but ``opt/step`` must have
-    the dtype ``meta/dtype`` names. The metadata records are those in
-    ``_META``: ``meta/task_spec`` and ``meta/train_config``, where present,
-    must be JSON objects.
+    Every fault in what the file holds is a ``CheckpointError`` naming the
+    file and the record or metadata key: a missing, wrong-shaped or
+    non-finite record, a record the model does not use, a metadata key that
+    is unknown, missing when required, or not of its ``_META`` type, a
+    negative ``step``, a ``dtype`` other than f32/f64, or a ``model_spec``
+    that does not build. Besides the model's parameters and buffers, only
+    the optimizer moments of its trainable parameters (``opt/m/<name>``,
+    ``opt/v/<name>``) and ``opt/step`` may be present. Every record but
+    ``opt/step`` must have the dtype the metadata's ``dtype`` names.
     """
-    from .model import Model
+    from .model import Model, ModelSpec
 
-    tensors, raw_meta = read_checkpoint(path)
-    meta = _decoded_meta(path, raw_meta)
-    spec, dtype, step = meta["model_spec"], meta["dtype"], meta["step"]
+    tensors, meta = read_checkpoint(path)
+    for key, value in meta.items():
+        if key not in _META:
+            raise CheckpointError(f"{path}: unknown metadata key {key!r}")
+        if type(value) is not _META[key]:  # so a bool is not an int
+            raise CheckpointError(f"{path}: metadata {key!r} is {type(value).__name__}, "
+                                  f"expected {_META[key].__name__}")
+    missing = next((key for key in _REQUIRED_META if key not in meta), None)
+    if missing is not None:
+        raise CheckpointError(f"{path}: missing metadata key {missing!r}")
+    step, dtype = meta["step"], meta["dtype"]
+    if step < 0:
+        raise CheckpointError(f"{path}: metadata 'step' must be non-negative; got {step}")
+    if dtype not in ("f32", "f64"):
+        raise CheckpointError(f"{path}: metadata 'dtype' must be f32 or f64; got {dtype!r}")
+    try:
+        spec = ModelSpec(**meta["model_spec"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: metadata 'model_spec' cannot be built: {exc}") from None
     want = as_np_dtype(dtype)
     state: dict[str, np.ndarray] = {}
     opt_arrays: dict[str, np.ndarray] = {}
     for name, arr in tensors.items():
         if arr.dtype != want and name != "opt/step":
             raise CheckpointError(f"{path}: record {name!r} is {arr.dtype}, "
-                                  f"but 'meta/dtype' is {dtype}")
+                                  f"but metadata 'dtype' is {dtype}")
         (opt_arrays if name.startswith("opt/") else state)[name] = arr
     try:
         model = Model.from_arrays(spec, state, dtype)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,16 @@ def causal_mask(l: int, dtype: np.dtype) -> np.ndarray:
     return mask
 
 
+def _index(name: str, value) -> int:
+    """``value`` as a Python int; a float, a string or a bool is a ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer; got {value!r}")
+
+
 @dataclass
 class ModelSpec:
     """Architecture plus FFN-variant configuration.
@@ -73,24 +84,20 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1; got {self.depth}")
+        for field in dataclasses.fields(self):
+            if field.type == "int":  # the annotation's text: annotations are deferred here
+                setattr(self, field.name, _index(field.name, getattr(self, field.name)))
+        for name in ("depth", "expansion", "vocab_size", "max_seq_len", "num_experts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1; got {getattr(self, name)}")
         if self.dim < 1 or self.heads < 1 or self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} must be a positive multiple of heads {self.heads}")
-        if self.expansion < 1:
-            raise ValueError(f"expansion must be >= 1; got {self.expansion}")
-        if self.vocab_size < 1:
-            raise ValueError(f"vocab_size must be >= 1; got {self.vocab_size}")
-        if self.max_seq_len < 1:
-            raise ValueError(f"max_seq_len must be >= 1; got {self.max_seq_len}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}; got {self.objective!r}")
         if self.objective == "classification" and self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2; got {self.num_classes}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}; got {self.variant!r}")
-        if self.num_experts < 1:
-            raise ValueError(f"num_experts must be >= 1; got {self.num_experts}")
         if not 1 <= self.top_k <= self.num_experts:
             raise ValueError(
                 f"top_k must be in [1, num_experts={self.num_experts}]; got {self.top_k}"
@@ -102,7 +109,8 @@ class ModelSpec:
         if self.replaced_layers is None:
             self.replaced_layers = tuple(range(self.depth))
         else:
-            layers = tuple(sorted(set(int(i) for i in self.replaced_layers)))
+            layers = tuple(sorted({_index("replaced_layers entry", i)
+                                   for i in self.replaced_layers}))
             if layers and (layers[0] < 0 or layers[-1] >= self.depth):
                 raise ValueError(
                     f"replaced_layers {layers} outside valid range [0, {self.depth})"

@@ -114,7 +114,10 @@ class SyntheticClusterTask:
         return self.train_tokens[idx], self.train_labels[idx]
 
     def val_data(self):
-        return self.val_tokens, self.val_labels
+        """Read-only views of ``val_tokens`` and ``val_labels``."""
+        x, y = self.val_tokens.view(), self.val_labels.view()
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
 
 
 class CharLMTask:

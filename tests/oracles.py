@@ -17,9 +17,11 @@ per-parameter AdamW loop that the blocked pass of ``optim.AdamW`` replaced.
 replaced, and ``sum_to_shape`` the reduction of a broadcast gradient back to
 its operand's shape. ``read_checkpoint_reference`` is the checkpoint reader
 that the offset-tracking ``checkpoint.read_checkpoint`` replaced: one read
-and one ``tell()``-based bounds check per header field and per dim.
+and one ``tell()``-based bounds check per header field and per dim, with the
+metadata header decoded by ``json.loads`` and checked by a separate walk.
 """
 
+import json
 import math
 import os
 import struct
@@ -246,7 +248,8 @@ _CHECKPOINT_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64),
 
 
 def read_checkpoint_reference(path):
-    """(tensors, meta) of a checkpoint file, read one header field at a time."""
+    """(tensors, meta) of a checkpoint file, read one header field at a time.
+    The metadata is decoded as ``checkpoint._decoded_meta`` documents it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -262,13 +265,14 @@ def read_checkpoint_reference(path):
 
         if read_exact(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-        version, count = struct.unpack("<II", read_exact(8))
+        (version,) = struct.unpack("<I", read_exact(4))
         if version != VERSION:
             raise CheckpointError(
                 f"{path}: version mismatch (file v{version}, reader v{VERSION}); refusing to load"
             )
+        count, meta_len = struct.unpack("<II", read_exact(8))
+        meta = _metadata_reference(path, read_exact(meta_len))
         tensors = {}
-        meta = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", read_exact(4))
             try:
@@ -276,11 +280,7 @@ def read_checkpoint_reference(path):
             except UnicodeDecodeError:
                 raise CheckpointError(
                     f"{path}: record name at byte {fh.tell() - name_len} is not UTF-8") from None
-            if name.startswith("meta/"):
-                into, key = meta, name[len("meta/"):]
-            else:
-                into, key = tensors, name
-            if key in into:
+            if name in tensors:
                 raise CheckpointError(f"{path}: duplicate record {name!r}")
             code, rank = struct.unpack("<BB", read_exact(2))
             if code not in _CHECKPOINT_DTYPES:
@@ -295,7 +295,40 @@ def read_checkpoint_reference(path):
                 raise CheckpointError(f"{path}: record {name!r} has impossible dims: {exc}") from None
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise CheckpointError(f"{path}: short read of {name!r}")
-            into[key] = arr.astype(dtype, copy=False)
+            tensors[name] = arr.astype(dtype, copy=False)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after declared records")
     return tensors, meta
+
+
+def _metadata_reference(path, raw):
+    """The metadata bytes as one JSON object: UTF-8, strict JSON (no NaN or
+    infinity, no float that overflows to one), no key twice in any object."""
+    def fail(why):
+        return CheckpointError(f"{path}: {why}")
+
+    def unique(pairs):
+        keys = [key for key, _ in pairs]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise fail(f"metadata key {key!r} is written twice")
+        return dict(pairs)
+
+    def finite(value):
+        if isinstance(value, dict):
+            return all(map(finite, value.values()))
+        if isinstance(value, list):
+            return all(map(finite, value))
+        return not isinstance(value, float) or math.isfinite(value)
+
+    try:
+        meta = json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
+    except (ValueError, RecursionError) as exc:
+        raise fail(f"metadata is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise fail(f"metadata is a JSON {type(meta).__name__}, not an object")
+    for key, value in meta.items():
+        if not finite(value):
+            raise fail(f"metadata {key!r} is not finite JSON: "
+                       "Out of range float values are not JSON compliant")
+    return meta

@@ -16,9 +16,6 @@ from exfusion.checkpoint import (
     VERSION,
     CheckpointError,
     load_model_checkpoint,
-    meta_int,
-    meta_json,
-    meta_str,
     read_checkpoint,
     save_model_checkpoint,
     write_checkpoint,
@@ -43,32 +40,36 @@ def sample_tensors():
     }
 
 
+def records_at(raw) -> int:
+    """Offset of the first record: after the 16-byte header and the metadata."""
+    return 16 + struct.unpack_from("<I", raw, 12)[0]
+
+
 class TestContainer:
     def test_roundtrip_bit_exact(self, tmp_path):
         path = tmp_path / "x.bin"
         tensors = sample_tensors()
-        meta = {"step": 17, "delta": 0.95, "variant": "mb", "spec": {"depth": 2, "dim": 8}}
+        meta = {"step": 17, "delta": 0.95, "variant": "mb", "spec": {"depth": 2, "dim": 8},
+                "flags": [True, None, -1e300]}
         write_checkpoint(path, tensors, meta)
         loaded, m = read_checkpoint(path)
         assert set(loaded) == set(tensors)
         for name, arr in tensors.items():
             assert loaded[name].dtype == arr.dtype
             assert loaded[name].tobytes() == arr.tobytes()
-        assert meta_int(m, "step") == 17
-        assert m["delta"][0] == 0.95
-        assert meta_str(m, "variant") == "mb"
-        assert meta_json(m, "spec") == {"depth": 2, "dim": 8}
+        assert m == meta and type(m["step"]) is int
 
     def test_layout_matches_documented_format(self, tmp_path):
         # independent struct-level parse of the written bytes
         path = tmp_path / "x.bin"
         arr = np.array([[1.5, -2.0]], dtype=np.float32)
-        write_checkpoint(path, {"w": arr}, {"tag": "ok"})
+        write_checkpoint(path, {"w": arr}, {"tag": "ok", "n": 2})
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
-        version, count = struct.unpack_from("<II", raw, 4)
-        assert version == VERSION and count == 2
-        off = 12
+        version, count, meta_len = struct.unpack_from("<III", raw, 4)
+        assert version == VERSION == 3 and count == 1
+        assert raw[16:16 + meta_len] == b'{"n": 2, "tag": "ok"}'
+        off = 16 + meta_len
         (name_len,) = struct.unpack_from("<I", raw, off); off += 4
         name = raw[off:off + name_len].decode(); off += name_len
         assert name == "w"
@@ -78,9 +79,7 @@ class TestContainer:
         assert dims == (1, 2)
         payload = np.frombuffer(raw, dtype="<f4", count=2, offset=off)
         np.testing.assert_array_equal(payload.reshape(1, 2), arr)
-        off += 8
-        (name_len,) = struct.unpack_from("<I", raw, off); off += 4
-        assert raw[off:off + name_len].decode() == "meta/tag"
+        assert off + 8 == len(raw)
 
     def test_version_mismatch_refused(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -113,7 +112,8 @@ class TestContainer:
     def _single_record(self, tmp_path):
         path = tmp_path / "x.bin"
         write_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
-        return path, bytearray(path.read_bytes()), 12 + 4 + len("w") + 2  # dims offset
+        raw = bytearray(path.read_bytes())
+        return path, raw, records_at(raw) + 4 + len("w") + 2  # dims offset
 
     def test_absurd_dims_refused_before_reading(self, tmp_path):
         path, raw, dims_at = self._single_record(tmp_path)
@@ -128,8 +128,8 @@ class TestContainer:
         # both declare at most 4 payload bytes, so only building the array can fail
         path = tmp_path / "x.bin"
         payload = b"\0" * (4 * math.prod(dims))
-        path.write_bytes(MAGIC + struct.pack("<IIIc", VERSION, 1, 1, b"w")
-                         + struct.pack("<BB", 0, len(dims))
+        path.write_bytes(MAGIC + struct.pack("<III", VERSION, 1, 2) + b"{}"
+                         + struct.pack("<Ic", 1, b"w") + struct.pack("<BB", 0, len(dims))
                          + b"".join(struct.pack("<Q", d) for d in dims) + payload)
         with pytest.raises(CheckpointError, match=r"x\.bin: record 'w' has impossible dims"):
             read_checkpoint(path)
@@ -145,55 +145,64 @@ class TestContainer:
         path = tmp_path / "x.bin"
         write_checkpoint(path, sample_tensors())
         raw = bytearray(path.read_bytes())
-        raw[16] = 0xFF  # first byte of the first record name
+        raw[records_at(raw) + 4] = 0xFF  # first byte of the first record name
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="x.bin.*UTF-8"):
             read_checkpoint(path)
 
-    @pytest.mark.parametrize("record", ["a.weight", "meta/step"])
-    def test_duplicate_record_refused(self, tmp_path, record):
+    def test_duplicate_record_refused(self, tmp_path):
         path = tmp_path / "x.bin"
-        stand_in = record[:-1] + "~"  # same length, written after ``record``
         tensors = sample_tensors()
-        meta = {"step": 17}
-        if record.startswith("meta/"):
-            meta[stand_in[len("meta/"):]] = 7
-        else:
-            tensors[stand_in] = np.full_like(tensors[record], 7)
-        write_checkpoint(path, tensors, meta)
-        path.write_bytes(path.read_bytes().replace(stand_in.encode(), record.encode()))
-        with pytest.raises(CheckpointError, match=f"x.bin: duplicate record '{record}'"):
+        tensors["a.weighu"] = np.full_like(tensors["a.weight"], 7)  # same length, sorted after
+        write_checkpoint(path, tensors, {"step": 17})
+        path.write_bytes(path.read_bytes().replace(b"a.weighu", b"a.weight"))
+        with pytest.raises(CheckpointError, match="x.bin: duplicate record 'a.weight'"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("meta, twin, key", [
+        ({"step": 17, "stez": 7}, "stez", "step"),
+        ({"model_spec": {"depth": 1, "deptx": 2}}, "deptx", "depth"),
+    ], ids=["top_level", "nested"])
+    def test_duplicate_metadata_key_refused(self, tmp_path, meta, twin, key):
+        # the twin has the key's length and sorts after it
+        path = tmp_path / "x.bin"
+        write_checkpoint(path, sample_tensors(), meta)
+        path.write_bytes(path.read_bytes().replace(f'"{twin}"'.encode(), f'"{key}"'.encode()))
+        with pytest.raises(CheckpointError, match=f"x.bin: metadata key '{key}' is written twice"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("text, match", [
+        (b'{"step": 1', "is not valid JSON"),
+        (b'{"step": "\xff"}', "is not valid JSON.*utf-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON: maximum recursion depth"),
+        (b'["step", 1]', "is a JSON list, not an object"),
+        (b"17", "is a JSON int, not an object"),
+        (b'{"task_spec": {"noise": NaN}}', "'task_spec' is not finite JSON"),
+        (b'{"step": -Infinity}', "'step' is not finite JSON"),
+        (b'{"train_config": [1e400]}', "'train_config' is not finite JSON"),
+    ], ids=["cut_short", "not_utf8", "too_deep", "list", "number", "nan", "infinity",
+            "overflow"])
+    def test_malformed_metadata_refused(self, tmp_path, text, match):
+        path = tmp_path / "x.bin"
+        path.write_bytes(MAGIC + struct.pack("<III", VERSION, 0, len(text)) + text)
+        with pytest.raises(CheckpointError, match=f"x.bin: metadata {match}"):
             read_checkpoint(path)
 
 
 def reference_encoding(tensors: dict, meta: dict | None = None) -> bytes:
-    """The documented layout, built with struct and tobytes() only: the
-    tensors sorted by name, then ``meta``'s arrays as ``meta/`` records."""
+    """The documented layout, built with struct, json.dumps and tobytes()
+    only: the metadata object with sorted keys, then the tensors sorted by name."""
     codes = {np.dtype(np.float32): 0, np.dtype(np.float64): 1,
              np.dtype(np.int64): 2, np.dtype(np.uint8): 3}
-    records = sorted(tensors.items())
-    records += [("meta/" + key, arr) for key, arr in sorted((meta or {}).items())]
-    out = [MAGIC, struct.pack("<II", VERSION, len(records))]
-    for name, arr in records:
-        encoded = name.encode("utf-8")
-        out += [struct.pack("<I", len(encoded)), encoded,
+    encoded = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
+    out = [MAGIC, struct.pack("<III", VERSION, len(tensors), len(encoded)), encoded]
+    for name, arr in sorted(tensors.items()):
+        name = name.encode("utf-8")
+        out += [struct.pack("<I", len(name)), name,
                 struct.pack("<BB", codes[arr.dtype], arr.ndim)]
         out += [struct.pack("<Q", d) for d in arr.shape]
         out.append(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
     return b"".join(out)
-
-
-def reference_meta(meta: dict) -> dict:
-    """Metadata values as the documented records: strings as uint8 bytes,
-    ints as int64[1], dicts as sorted-key JSON bytes."""
-    def record(value):
-        if isinstance(value, int):
-            return np.array([value], dtype=np.int64)
-        if isinstance(value, dict):
-            value = json.dumps(value, sort_keys=True)
-        return np.frombuffer(value.encode("utf-8"), dtype=np.uint8)
-
-    return {key: record(value) for key, value in meta.items()}
 
 
 def _expected_model_file(model, step, opt, extra):
@@ -201,7 +210,7 @@ def _expected_model_file(model, step, opt, extra):
     ``dataclasses.asdict`` of its spec by ``reference_encoding``."""
     tensors = dict(model.state_arrays(), **opt.state_arrays())
     meta = dict(model_spec=dataclasses.asdict(model.spec), dtype=model.dtype, step=step, **extra)
-    return reference_encoding(tensors, reference_meta(meta))
+    return reference_encoding(tensors, meta)
 
 
 class TestWriterEncoding:
@@ -366,21 +375,19 @@ class TestModelCheckpoint:
         save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,
                                                     vocab_size=5, num_classes=2, max_seq_len=4)))
         tensors, meta = read_checkpoint(path)
-        spec = meta_json(meta, "model_spec")
-        change(spec)
-        meta["model_spec"] = json.dumps(spec)
+        change(meta["model_spec"])
         write_checkpoint(path, tensors, meta)
-        with pytest.raises(CheckpointError, match=f"ckpt.bin.*{field}"):
+        with pytest.raises(CheckpointError, match=f"ckpt.bin: metadata 'model_spec'.*{field}"):
             load_model_checkpoint(path)
 
-    def test_undecodable_model_spec_is_checkpoint_error(self, tmp_path):
+    def test_model_spec_given_as_a_string_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_model_checkpoint(path, Model(ModelSpec(depth=1, dim=8, heads=2, expansion=2,
                                                     vocab_size=5, num_classes=2, max_seq_len=4)))
         tensors, meta = read_checkpoint(path)
         meta["model_spec"] = "{not json"
         write_checkpoint(path, tensors, meta)
-        with pytest.raises(CheckpointError, match="ckpt.bin.*model_spec"):
+        with pytest.raises(CheckpointError, match="ckpt.bin: metadata 'model_spec' is str"):
             load_model_checkpoint(path)
 
     @pytest.mark.parametrize("dtype, foreign", [("f32", np.float64), ("f64", np.float32)])
@@ -407,7 +414,7 @@ class TestModelCheckpoint:
         tensors, meta = read_checkpoint(path)
         meta["step"] = -3
         write_checkpoint(path, tensors, meta)
-        with pytest.raises(CheckpointError, match="ckpt.bin.*'meta/step'.*-3"):
+        with pytest.raises(CheckpointError, match="ckpt.bin: metadata 'step'.*-3"):
             load_model_checkpoint(path)
 
 
@@ -422,8 +429,8 @@ def _outcome(reader, path):
         tensors, meta = reader(path)
     except Exception as exc:  # the type and text are what is compared
         return type(exc), str(exc)
-    return [[(k, a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for k, a in d.items()]
-            for d in (tensors, meta)]
+    return ([(k, a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for k, a in tensors.items()],
+            list(meta.items()))
 
 
 def _assert_reads_like_reference(path):
@@ -463,7 +470,8 @@ def _malformed_files():
         def build(d):
             path = d / "x.bin"
             write_checkpoint(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
-            path.write_bytes(tail(bytearray(path.read_bytes()), 12 + 4 + len("w") + 2))
+            raw = bytearray(path.read_bytes())
+            path.write_bytes(tail(raw, records_at(raw) + 4 + len("w") + 2))
             return path
         return build
 
@@ -476,41 +484,45 @@ def _malformed_files():
     def declared(dims):
         def build(d):
             path = d / "x.bin"
-            path.write_bytes(MAGIC + struct.pack("<IIIc", VERSION, 1, 1, b"w")
-                             + struct.pack("<BB", 0, len(dims))
+            path.write_bytes(MAGIC + struct.pack("<III", VERSION, 1, 2) + b"{}"
+                             + struct.pack("<Ic", 1, b"w") + struct.pack("<BB", 0, len(dims))
                              + b"".join(struct.pack("<Q", n) for n in dims)
                              + b"\0" * (4 * math.prod(dims)))
             return path
         return build
 
-    def duplicate(record):
+    def written(data):
         def build(d):
             path = d / "x.bin"
-            stand_in = record[:-1] + "~"
-            tensors, meta = sample_tensors(), {"step": 17}
-            if record.startswith("meta/"):
-                meta[stand_in[len("meta/"):]] = 7
-            else:
-                tensors[stand_in] = np.full_like(tensors[record], 7)
-            write_checkpoint(path, tensors, meta)
-            path.write_bytes(path.read_bytes().replace(stand_in.encode(), record.encode()))
+            path.write_bytes(data)
             return path
         return build
 
-    def bad_magic(d):
-        path = d / "x.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        return path
+    def metadata(text):
+        return written(MAGIC + struct.pack("<III", VERSION, 0, len(text)) + text)
 
-    def set_bytes(at, value):
+    def duplicate(twin, name):
+        def build(d):
+            path = d / "x.bin"
+            tensors, meta = sample_tensors(), {"step": 17, "stez": 7}
+            tensors["a.weighu"] = np.full_like(tensors["a.weight"], 7)
+            write_checkpoint(path, tensors, meta)
+            path.write_bytes(path.read_bytes().replace(twin, name))
+            return path
+        return build
+
+    def set_bytes(at, value, records=False):
+        """Write ``value`` at ``at``, counted from the first record if ``records``."""
         def edit(raw):
-            raw[at:at + len(value)] = value
+            start = at + records_at(raw) if records else at
+            raw[start:start + len(value)] = value
             return raw
         return edit
 
     return [
-        ("bad_magic", bad_magic),
+        ("bad_magic", written(b"NOPE" + b"\x00" * 16)),
         ("version_mismatch", edited(set_bytes(4, struct.pack("<I", VERSION + 1)))),
+        ("version_2_header", written(MAGIC + struct.pack("<II", 2, 0))),
         ("truncated_by_3", edited(lambda raw: raw[:-3])),
         ("trailing_bytes", edited(lambda raw: raw + b"junk")),
         ("absurd_dims", single_record(dims_at((2 ** 40, 3)))),
@@ -518,11 +530,20 @@ def _malformed_files():
         ("huge_dim", declared((0, 2 ** 63))),
         ("rank_65", declared((1,) * 65)),
         ("truncated_payload", single_record(lambda raw, at: bytes(raw[:at + 16 + 10]))),
-        ("undecodable_name", edited(set_bytes(16, b"\xff"))),
-        ("duplicate_tensor", duplicate("a.weight")),
-        ("duplicate_meta", duplicate("meta/step")),
-        ("unknown_dtype_code", edited(set_bytes(12 + 4 + len("a.weight"), b"\x07"))),
-        ("absurd_name_length", edited(set_bytes(12, struct.pack("<I", 2 ** 32 - 1)))),
+        ("undecodable_name", edited(set_bytes(4, b"\xff", records=True))),
+        ("duplicate_tensor", duplicate(b"a.weighu", b"a.weight")),
+        ("duplicate_meta_key", duplicate(b'"stez"', b'"step"')),
+        ("unknown_dtype_code", edited(set_bytes(4 + len("a.weight"), b"\x07", records=True))),
+        ("absurd_name_length", edited(set_bytes(0, struct.pack("<I", 2 ** 32 - 1), records=True))),
+        ("absurd_metadata_length", edited(set_bytes(12, struct.pack("<I", 2 ** 32 - 1)))),
+        ("metadata_length_short_by_1", edited(lambda raw: raw[:12] + struct.pack(
+            "<I", struct.unpack_from("<I", raw, 12)[0] - 1) + raw[16:])),
+        ("metadata_not_json", metadata(b"{not json")),
+        ("metadata_not_utf8", metadata(b'{"\xff": 1}')),
+        ("metadata_too_deep", metadata(b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")),
+        ("metadata_list", metadata(b"[]")),
+        ("metadata_nan", metadata(b'{"a": {"b": [NaN]}}')),
+        ("metadata_nested_duplicate", metadata(b'{"a": [{"b": 1, "b": 1}]}')),
         ("empty_file", edited(lambda raw: b"")),
     ]
 
@@ -615,29 +636,33 @@ class TestRefusedWrite:
     """A write that is refused, or fails, leaves the directory as it was."""
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "over_existing"])
-    @pytest.mark.parametrize("tensors, meta, match", [
-        ({"a": np.zeros(3), "b": np.arange(4, dtype=np.int32)}, {"step": 1},
+    @pytest.mark.parametrize("tensors, meta, error, match", [
+        ({"a": np.zeros(3), "b": np.arange(4, dtype=np.int32)}, {"step": 1}, CheckpointError,
          "'b' has unsupported dtype int32"),
-        ({"a": np.zeros(3)}, {"step": 1, "bad": np.zeros(2, dtype=np.float16)},
-         "'meta/bad' has unsupported dtype float16"),
-        ({"a": np.zeros(3), "meta/step": np.zeros(1)}, {"step": 1},
-         "'meta/step' uses the reserved 'meta/' prefix"),
-        ({"meta/extra": np.zeros(1)}, None, "'meta/extra' uses the reserved 'meta/' prefix"),
-    ], ids=["int32_tensor", "float16_meta", "meta_step_tensor", "meta_named_tensor"])
-    def test_refused_record_writes_nothing(self, tmp_path, tensors, meta, match, existing):
+        ({"a": np.zeros(3)}, {"step": 1, "bad": np.zeros(2, dtype=np.float16)}, TypeError,
+         "ndarray is not JSON serializable"),
+        ({"a": np.zeros(3)}, {"step": object()}, TypeError, "object is not JSON serializable"),
+        ({"a": np.zeros(3)}, {"task_spec": {"noise": float("nan")}}, ValueError,
+         "Out of range float values"),
+        ({"a": np.zeros(3)}, {"step": 1, 2: "two"}, TypeError, "not supported between"),
+    ], ids=["int32_tensor", "array_meta", "object_meta", "nan_meta", "mixed_key_types"])
+    def test_refused_record_writes_nothing(self, tmp_path, tensors, meta, error, match, existing):
         path = tmp_path / "x.bin"
         if existing:
             write_checkpoint(path, sample_tensors())
         before = _listing(tmp_path)
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(error, match=match):
             write_checkpoint(path, tensors, meta)
         assert _listing(tmp_path) == before
 
-    def test_unencodable_meta_value_writes_nothing(self, tmp_path):
-        before = _listing(tmp_path)
-        with pytest.raises(TypeError, match="cannot encode metadata"):
-            write_checkpoint(tmp_path / "x.bin", sample_tensors(), {"step": object()})
-        assert _listing(tmp_path) == before
+    def test_tensor_names_have_no_reserved_prefix(self, tmp_path):
+        path = tmp_path / "x.bin"
+        tensors = {"meta/step": np.zeros(1), "step": np.ones(2)}
+        write_checkpoint(path, tensors, {"step": 1})
+        loaded, meta = read_checkpoint(path)
+        assert {k: v.tobytes() for k, v in loaded.items()} == \
+            {k: v.tobytes() for k, v in tensors.items()}
+        assert meta == {"step": 1}
 
     def test_failed_write_removes_its_tmp(self, tmp_path, monkeypatch):
         path = tmp_path / "x.bin"
@@ -700,7 +725,7 @@ def _records(raw: bytes):
     """(name, dtype code, rank, start, header end, end) of each record of a
     checkpoint file, found with the documented layout."""
     (count,) = struct.unpack_from("<I", raw, 8)
-    at = 12
+    at = records_at(raw)
     itemsize = {0: 4, 1: 8, 2: 8, 3: 1}
     for _ in range(count):
         (name_len,) = struct.unpack_from("<I", raw, at)
@@ -715,16 +740,20 @@ def _records(raw: bytes):
 
 
 def _header_offsets(raw: bytes) -> dict[int, str]:
-    """Offsets of the file header (record "") and of the length, name, code,
-    rank and dims of one record of each kind, each with the name of its
-    record: every meta record, and the first tensor record of each namespace
-    (model state, ``opt/m/``, ``opt/v/``, ``opt/step``), dtype code and rank."""
-    offsets, seen = dict.fromkeys(range(12), ""), set()
+    """What each swept byte is: "file header" for the 16 header bytes,
+    "metadata key" for a character of a key in the metadata (a top-level key
+    or one of ``model_spec``'s), "metadata" for its other bytes, and the
+    record's name for the length, name, code, rank and dims of the first
+    record of each kind (model state, ``opt/m/``, ``opt/v/``, ``opt/step``;
+    dtype code and rank)."""
+    offsets = dict.fromkeys(range(16), "file header")
+    offsets.update(dict.fromkeys(range(16, records_at(raw)), "metadata"))
+    for key in re.finditer(rb'"(\w+)": ', raw[16:records_at(raw)]):
+        offsets.update(dict.fromkeys(range(16 + key.start(1), 16 + key.end(1)), "metadata key"))
+    seen = set()
     for name, code, rank, start, header, _ in _records(raw):
-        if name.startswith(("meta/", "opt/step")):
-            kind = name
-        else:
-            kind = (name[:6] if name.startswith("opt/") else "", code, rank)
+        kind = name if name == "opt/step" else (name[:6] if name.startswith("opt/") else "",
+                                                 code, rank)
         if kind not in seen:
             seen.add(kind)
             offsets.update(dict.fromkeys(range(start, header), name))
@@ -732,10 +761,12 @@ def _header_offsets(raw: bytes) -> dict[int, str]:
 
 
 class TestCorruptionSweep:
-    """Every truncation, and every single-bit flip of a header byte of the
-    file and of one record of each kind, of a small model checkpoint with
-    optimizer state either loads or ends in a ``CheckpointError``: no other
-    exception escapes ``load_model_checkpoint``."""
+    """Every truncation, and every single-bit flip of the file header, of the
+    metadata and of the header of one record of each kind, of a small model
+    checkpoint with optimizer state either loads or ends in a
+    ``CheckpointError``: no other exception escapes ``load_model_checkpoint``.
+    No flip of the file header (the metadata length included) or of a
+    metadata key loads."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -777,17 +808,19 @@ class TestCorruptionSweep:
             os.close(fd)
         assert path.read_bytes() == saved
         assert len(loaded) < len(offsets)  # most flips are refused
-        assert [r for r in loaded if r.startswith("meta/")] == []  # none in a meta record
+        assert "metadata" in loaded  # a flip in a value may leave a buildable spec
+        assert not {"file header", "metadata key"} & set(loaded)
 
 
-def _container(chunks) -> bytes:
-    return MAGIC + struct.pack("<II", VERSION, len(chunks)) + b"".join(chunks)
+def _container(metadata: bytes, chunks) -> bytes:
+    return (MAGIC + struct.pack("<III", VERSION, len(chunks), len(metadata)) + metadata
+            + b"".join(chunks))
 
 
 class TestRecordOrder:
     """The reader keys records by name: a small mb checkpoint with its
-    optimizer, rewritten with its records in any order, loads to the same
-    arrays and metadata, and a record written twice is refused by name."""
+    optimizer, rewritten with its tensor records in any order, loads to the
+    same arrays and metadata, and a record written twice is refused by name."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -796,15 +829,16 @@ class TestRecordOrder:
         save_model_checkpoint(path, model, step=1, optimizer=opt,
                               extra_meta={"task_spec": {"seed": 4}})
         raw = path.read_bytes()
-        return path, [(name, raw[start:end]) for name, _, _, start, _, end in _records(raw)]
+        return path, raw[16:records_at(raw)], [(name, raw[start:end])
+                                               for name, _, _, start, _, end in _records(raw)]
 
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(data=st.data())
     def test_any_record_order_loads_the_same(self, tmp_path_factory, saved, data):
-        source, chunks = saved
+        source, metadata, chunks = saved
         order = data.draw(st.permutations(range(len(chunks))))
         path = tmp_path_factory.mktemp("shuffled") / "x.bin"
-        path.write_bytes(_container([chunks[i][1] for i in order]))
+        path.write_bytes(_container(metadata, [chunks[i][1] for i in order]))
         want, got = load_model_checkpoint(source), load_model_checkpoint(path)
         assert got.step == want.step and got.meta == want.meta
         for arrays, again in ((want.model.state_arrays(), got.model.state_arrays()),
@@ -817,10 +851,77 @@ class TestRecordOrder:
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(data=st.data())
     def test_a_duplicated_record_is_refused_by_name(self, tmp_path_factory, saved, data):
-        _, chunks = saved
+        _, metadata, chunks = saved
         twice = data.draw(st.sampled_from(chunks))
         order = data.draw(st.permutations(chunks + [twice]))
         path = tmp_path_factory.mktemp("duplicated") / "x.bin"
-        path.write_bytes(_container([chunk for _, chunk in order]))
+        path.write_bytes(_container(metadata, [chunk for _, chunk in order]))
         with pytest.raises(CheckpointError, match=f"duplicate record '{re.escape(twice[0])}'"):
             load_model_checkpoint(path)
+
+
+_INT_FIELDS = ("depth", "dim", "heads", "expansion", "vocab_size", "num_classes",
+               "max_seq_len", "num_experts", "top_k", "seed")
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+
+
+# Any JSON value, NaN and the infinities included, with small ints and floats
+# that equal them drawn often, nested a few levels at most.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.integers(-2, 12).map(float)
+    | st.floats() | st.text(max_size=6), _json_containers, max_leaves=6)
+
+
+def _retyped(value) -> list:
+    """``value`` given other JSON types: as floats if it is a number or a list
+    of them, as a string, and in a list."""
+    out = [str(value), [value]]
+    if isinstance(value, (int, float)):
+        out.insert(0, float(value))
+    if isinstance(value, list):
+        out.insert(0, [float(v) for v in value])
+    return out
+
+
+class TestMetadataProperty:
+    """Any JSON object as a small checkpoint's metadata loads, or is a
+    ``CheckpointError``: a few ``model_spec`` fields given another type of
+    their value or any JSON value, a few of the five keys dropped or given any
+    JSON value, and an unknown key added. A spec that loads holds only ints
+    in its integer fields."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model, opt = _small_trained("mb", "f32", seed=6, depth=2)
+        path = tmp_path_factory.mktemp("meta") / "x.bin"
+        save_model_checkpoint(path, model, step=1, optimizer=opt, extra_meta={
+            "task_spec": dataclasses.asdict(TaskSpec(task="char_lm", seq_len=4)),
+            "train_config": dataclasses.asdict(TrainConfig(steps=1, warmup_steps=0))})
+        tensors, meta = read_checkpoint(path)
+        return path, tensors, meta
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_metadata_loads_or_is_refused(self, saved, data):
+        path, tensors, valid = saved
+        spec = dict(valid["model_spec"])
+        for field in data.draw(st.lists(st.sampled_from(sorted(spec)), max_size=3, unique=True)):
+            spec[field] = data.draw(st.sampled_from(_retyped(spec[field])) | _JSON_VALUES, label=field)
+        meta = dict(valid, model_spec=spec)
+        for key in data.draw(st.lists(st.sampled_from(sorted(meta)), max_size=2, unique=True)):
+            if data.draw(st.booleans(), label=f"drop {key}"):
+                del meta[key]
+            else:
+                meta[key] = data.draw(_JSON_VALUES, label=key)
+        for key in data.draw(st.lists(st.text(max_size=6), max_size=1), label="unknown keys"):
+            meta[key] = data.draw(_JSON_VALUES, label=key)
+        path.write_bytes(reference_encoding(tensors, meta))
+        try:
+            loaded = load_model_checkpoint(path)
+        except CheckpointError:
+            return
+        assert loaded.meta == meta
+        assert [type(getattr(loaded.model.spec, f)) for f in _INT_FIELDS] == [int] * 10

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from exfusion import _entry, cli
-from exfusion.checkpoint import load_model_checkpoint, meta_json
+from exfusion.checkpoint import load_model_checkpoint, read_checkpoint, write_checkpoint
 from exfusion.verify import CheckResult
 
 CONFIG = """
@@ -148,7 +148,10 @@ class TestTrainCommand:
         ("steps = 20", "steps = %(x)s", "steps"),
         ("seed = 2", "seed = 2 \xff", "run.ini"),
         ("[model]\n", "[model]\nshared_router = true\n", "unknown key 'shared_router'"),
-    ], ids=["percent", "interpolation", "not-utf8", "retired-key"])
+        ("depth = 2", "depth = 2.0", "[model] depth"),
+        ("[model]\n", "[model]\nreplaced_layers = 0.7\n", "[model] replaced_layers"),
+    ], ids=["percent", "interpolation", "not-utf8", "retired-key", "float-depth",
+            "float-layer"])
     def test_unreadable_value_is_one_error_line(self, tmp_path, capsys, old, new, named):
         # values are literal: '%' is refused by key, not by configparser; a
         # file that is not UTF-8 is refused by name
@@ -198,7 +201,7 @@ class TestTrainCommand:
                                                                  saved_run):
         # a checkpoint written while TrainConfig still had a `deterministic` field
         def add_retired(tensors, meta):
-            meta["train_config"] = dict(meta_json(meta, "train_config"), deterministic=True)
+            meta["train_config"]["deterministic"] = True
 
         cfg, ckpt = _broken_copy(saved_run, tmp_path, add_retired)
         capsys.readouterr()
@@ -242,8 +245,6 @@ class TestExportCommand:
         assert (tmp_path / "local.bin").read_bytes() == plain
 
     def test_dense_input_is_written_unchanged(self, tmp_path):
-        from exfusion.checkpoint import read_checkpoint
-
         _, out = train(tmp_path, variant="dense")
         src, dst = out / "ckpt_000020.bin", tmp_path / "dup.bin"
         assert cli.main(["export", str(src), "--out", str(dst)]) == 0
@@ -272,15 +273,11 @@ class TestExportCommand:
 
     @pytest.mark.parametrize("command", ["export", "eval"])
     def test_old_model_spec_field_is_runtime_error(self, tmp_path, capsys, command):
-        from exfusion.checkpoint import meta_json, read_checkpoint, write_checkpoint
-
         cfg = write_config(tmp_path)
         _, out = train(tmp_path)
         src = out / "ckpt_000020.bin"
         tensors, meta = read_checkpoint(src)
-        spec = meta_json(meta, "model_spec")
-        spec["mb_update_order"] = "update_then_fuse"  # a field older versions wrote
-        meta["model_spec"] = json.dumps(spec)
+        meta["model_spec"]["mb_update_order"] = "update_then_fuse"  # a field older versions wrote
         write_checkpoint(src, tensors, meta)
         capsys.readouterr()
         argv = ([command, str(src), "--out", str(tmp_path / "x.bin")] if command == "export"
@@ -294,9 +291,10 @@ class TestExportCommand:
         _, out = train(tmp_path)
         src = out / "ckpt_000020.bin"
         raw = bytearray(src.read_bytes())
-        (name_len,) = struct.unpack_from("<I", raw, 12)
-        rank = raw[12 + 4 + name_len + 1]
-        dims_at = 12 + 4 + name_len + 2
+        first = records_at(raw)
+        (name_len,) = struct.unpack_from("<I", raw, first)
+        rank = raw[first + 4 + name_len + 1]
+        dims_at = first + 4 + name_len + 2
         if cut == "dims":
             raw[dims_at:dims_at + 8] = struct.pack("<Q", 2 ** 40)
         else:
@@ -307,12 +305,35 @@ class TestExportCommand:
         assert "truncated" in capsys.readouterr().err
 
 
+def records_at(raw) -> int:
+    """Offset of a checkpoint's first record: after its header and metadata."""
+    return 16 + struct.unpack_from("<I", raw, 12)[0]
+
+
 def _drop(name):
-    return lambda tensors, meta: tensors.pop(name)
+    def change(tensors, meta):
+        del tensors[name]
+    return change
 
 
 def _drop_meta(key):
-    return lambda tensors, meta: meta.pop(key)
+    def change(tensors, meta):
+        del meta[key]
+    return change
+
+
+def _set_meta(key, value):
+    return lambda tensors, meta: meta.update({key: value})
+
+
+def _set_spec(**fields):
+    return lambda tensors, meta: meta["model_spec"].update(fields)
+
+
+def _meta_text(old, new):
+    """Replace ``old`` with ``new`` in the metadata's JSON text, for the
+    metadata ``json.dumps`` would not write."""
+    return lambda tensors, meta: (old, new)
 
 
 def _set(name, value):
@@ -345,44 +366,52 @@ def _as_f64(name):
     return change
 
 
-# (case, edit of the saved records, text the error must show besides the file name)
+# (case, edit of the saved records and metadata, text the error must show
+# besides the file name)
 CORRUPT_RECORDS = [
     ("missing_param", _drop("head.bias"), "head.bias"),
     ("missing_bank", _drop("blocks.1.ffn.fusion.bank"), "blocks.1.ffn.fusion.bank"),
-    ("missing_dtype", _drop_meta("dtype"), "meta/dtype"),
-    ("missing_step", _drop_meta("step"), "meta/step"),
-    ("negative_step", lambda tensors, meta: meta.update(step=-3), "meta/step"),
-    ("float_step", lambda tensors, meta: meta.update(step=2.5), "meta/step"),
-    ("infinite_step", lambda tensors, meta: meta.update(step=float("inf")), "meta/step"),
-    ("two_steps", lambda tensors, meta: meta.update(step=np.array([3, 4])), "meta/step"),
+    ("missing_dtype", _drop_meta("dtype"), "missing metadata key 'dtype'"),
+    ("missing_step", _drop_meta("step"), "missing metadata key 'step'"),
+    ("negative_step", _set_meta("step", -3), "metadata 'step' must be non-negative"),
+    ("float_step", _set_meta("step", 2.5), "metadata 'step' is float"),
+    ("bool_step", _set_meta("step", True), "metadata 'step' is bool"),
+    ("infinite_step", _meta_text(b'"step": 0', b'"step": Infinity'),
+     "metadata 'step' is not finite JSON"),
+    ("two_steps", _set_meta("step", [3, 4]), "metadata 'step' is list"),
+    ("duplicate_step", _meta_text(b'"step": 0', b'"step": 0, "step": 0'),
+     "metadata key 'step' is written twice"),
     ("wrong_shape", _resize("head.bias"), "head.bias"),
     ("foreign_dtype_param", _as_f64("blocks.0.attn.q.weight"), "blocks.0.attn.q.weight"),
     ("foreign_dtype_bank", _as_f64("blocks.1.ffn.fusion.bank"), "blocks.1.ffn.fusion.bank"),
     ("foreign_dtype_moment", _as_f64("opt/m/head.weight"), "opt/m/head.weight"),
-    ("invalid_dtype", lambda tensors, meta: meta.update(dtype="f16"), "meta/dtype"),
-    ("float_dtype", lambda tensors, meta: meta.update(dtype=np.array([102.0, 51.0, 50.0])),
-     "meta/dtype"),  # the codes of "f32", as float64
+    ("invalid_dtype", _set_meta("dtype", "f16"), "metadata 'dtype' must be f32 or f64"),
+    ("float_dtype", _set_meta("dtype", [102.0, 51.0, 50.0]),
+     "metadata 'dtype' is list"),  # the codes of "f32", as floats
     ("nonfinite_param", _set("blocks.0.ffn.up.weight", np.nan), "blocks.0.ffn.up.weight"),
     ("nonfinite_bank", _set("blocks.0.ffn.fusion.bank", np.inf), "blocks.0.ffn.fusion.bank"),
     ("unknown_param", _add_copy("blocks.0.ffn.up.weigth", "blocks.0.ffn.up.weight"),
      "blocks.0.ffn.up.weigth"),
     ("unknown_moment", _add_copy("opt/m/blocks.0.ffn.up.weigth", "opt/m/blocks.0.ffn.up.weight"),
      "opt/m/blocks.0.ffn.up.weigth"),
-    ("task_spec_list", lambda tensors, meta: meta.update(task_spec=[1, 2]), "meta/task_spec"),
-    ("task_spec_not_json", lambda tensors, meta: meta.update(task_spec="{not json"),
-     "meta/task_spec"),
+    ("task_spec_list", _set_meta("task_spec", [1, 2]), "metadata 'task_spec' is list"),
+    ("task_spec_not_json", _set_meta("task_spec", "{not json"), "metadata 'task_spec' is str"),
+    # the decoder gives up before it reaches the key, so only the metadata is named
     ("task_spec_nested_too_deep",
-     lambda tensors, meta: meta.update(task_spec="[" * 100_000 + "]" * 100_000), "meta/task_spec"),
-    ("train_config_list", lambda tensors, meta: meta.update(train_config=["steps"]),
-     "meta/train_config"),
-    ("unknown_meta", lambda tensors, meta: meta.update(bogus="x"), "meta/bogus"),
-    ("invalid_format", lambda tensors, meta: meta.update(format="junk"), "meta/format"),
-    # records of the v1 schema, left in a file with a v2 header
-    ("retired_format", lambda tensors, meta: meta.update(format="model"), "meta/format"),
-    ("retired_exported_from", lambda tensors, meta: meta.update(exported_from="a/ckpt.bin"),
-     "meta/exported_from"),
-    ("retired_shared_router", lambda tensors, meta: meta.update(
-        model_spec=dict(meta_json(meta, "model_spec"), shared_router=True)), "meta/model_spec"),
+     _meta_text(b'"task_spec": {', b'"task_spec": ' + b"[" * 100_000 + b"]" * 100_000
+                + b', "x": {'), "metadata is not valid JSON: maximum recursion depth"),
+    ("train_config_list", _set_meta("train_config", ["steps"]), "metadata 'train_config' is list"),
+    ("unknown_meta", _set_meta("bogus", "x"), "unknown metadata key 'bogus'"),
+    ("invalid_format", _set_meta("format", "junk"), "unknown metadata key 'format'"),
+    # keys of the v1 schema, left in a v3 file's metadata
+    ("retired_format", _set_meta("format", "model"), "unknown metadata key 'format'"),
+    ("retired_exported_from", _set_meta("exported_from", "a/ckpt.bin"),
+     "unknown metadata key 'exported_from'"),
+    ("retired_shared_router", _set_spec(shared_router=True), "'shared_router'"),
+    ("float_depth", _set_spec(depth=2.0), "depth must be an integer; got 2.0"),
+    ("float_dim", _set_spec(dim=16.0), "dim must be an integer; got 16.0"),
+    ("float_layer", _set_spec(replaced_layers=[0.7, 1]),
+     "replaced_layers entry must be an integer; got 0.7"),
 ]
 
 # Faults in the optimizer records, which only a resume reads.
@@ -406,14 +435,20 @@ def saved_run(tmp_path_factory):
 
 
 def _broken_copy(saved_run, tmp_path, change):
-    from exfusion.checkpoint import read_checkpoint, write_checkpoint
-
+    """The saved checkpoint as ``broken.bin``, its records and metadata edited
+    by ``change``; an ``(old, new)`` it returns edits the metadata's text."""
     cfg, raw = saved_run
     ckpt = tmp_path / "broken.bin"
     ckpt.write_bytes(raw)
     tensors, meta = read_checkpoint(ckpt)
-    change(tensors, meta)
+    edit = change(tensors, meta)
     write_checkpoint(ckpt, tensors, meta)
+    if edit is not None:
+        raw = ckpt.read_bytes()
+        text = raw[16:records_at(raw)]
+        assert edit[0] in text
+        text = text.replace(*edit)
+        ckpt.write_bytes(raw[:12] + struct.pack("<I", len(text)) + text + raw[records_at(raw):])
     return cfg, ckpt
 
 
@@ -442,7 +477,7 @@ class TestCorruptRecords:
         cfg, raw = saved_run
         ckpt = tmp_path / "broken.bin"
         raw = bytearray(raw)
-        raw[16] = 0xFF  # first byte of the first record name
+        raw[records_at(raw) + 4] = 0xFF  # first byte of the first record name
         ckpt.write_bytes(bytes(raw))
         capsys.readouterr()
         assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
@@ -460,7 +495,8 @@ class TestCorruptRecords:
                  + b"".join(struct.pack("<Q", d) for d in dims)
                  + b"\0" * (4 * math.prod(dims)))
         ckpt = tmp_path / "broken.bin"
-        ckpt.write_bytes(raw[:8] + struct.pack("<I", count + 1) + first + raw[12:])
+        at = records_at(raw)
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", count + 1) + raw[12:at] + first + raw[at:])
         capsys.readouterr()
         assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
         err = capsys.readouterr().err
@@ -468,34 +504,37 @@ class TestCorruptRecords:
         assert not (tmp_path / "x.bin").exists()
 
     @pytest.mark.parametrize("command", ["export", "eval"])
-    @pytest.mark.parametrize("record", ["head.bias", "meta/step"])
+    @pytest.mark.parametrize("twin, name, named", [
+        ("head.biat", "head.bias", "duplicate record 'head.bias'"),
+        ('"stez"', '"step"', "metadata key 'step' is written twice"),
+    ], ids=["record", "metadata_key"])
     def test_duplicated_record_is_runtime_error(self, tmp_path, capsys, saved_run, command,
-                                                record):
-        stand_in = record[:-1] + "~"  # same length, written after ``record``
+                                                twin, name, named):
+        # the twin has the name's length and sorts after it
+        def add_twin(tensors, meta):
+            tensors["head.biat"] = np.full_like(tensors["head.bias"], 7)
+            meta["stez"] = 7
 
-        def add_stand_in(tensors, meta):
-            if record.startswith("meta/"):
-                meta[stand_in[len("meta/"):]] = 7
-            else:
-                tensors[stand_in] = np.full_like(tensors[record], 7)
-
-        cfg, ckpt = _broken_copy(saved_run, tmp_path, add_stand_in)
-        ckpt.write_bytes(ckpt.read_bytes().replace(stand_in.encode(), record.encode()))
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, add_twin)
+        ckpt.write_bytes(ckpt.read_bytes().replace(twin.encode(), name.encode()))
         capsys.readouterr()
         assert cli.main(_load_argv(command, ckpt, cfg, tmp_path)) == 2
         err = capsys.readouterr().err
-        assert "broken.bin" in err and f"duplicate record '{record}'" in err
+        assert "broken.bin" in err and named in err
         assert not (tmp_path / "x.bin").exists()
 
 
-class TestVersion1Refused:
-    """The v1 schema (with ``meta/format`` and ``shared_router``) is not read."""
+class TestEarlierVersionsRefused:
+    """A v1 file (with ``meta/format`` and ``shared_router``) and a v2 file
+    (metadata as ``meta/`` records) are not read."""
 
     @pytest.mark.parametrize("command", ["export", "eval", "resume"])
-    def test_one_error_line_and_nothing_written(self, tmp_path, capsys, saved_run, command):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_one_error_line_and_nothing_written(self, tmp_path, capsys, saved_run, version,
+                                                command):
         cfg, raw = saved_run
         ckpt = tmp_path / "old.bin"
-        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])  # the header's version field
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])  # the version field
         out = tmp_path / "resumed"
         argv = (["train", "--config", str(cfg), "--out", str(out), "--resume", str(ckpt)]
                 if command == "resume" else _load_argv(command, ckpt, cfg, tmp_path))
@@ -504,7 +543,7 @@ class TestVersion1Refused:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "old.bin" in err[0]
-        assert "version mismatch (file v1, reader v2)" in err[0]
+        assert f"version mismatch (file v{version}, reader v3)" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
@@ -537,18 +576,18 @@ class TestResumeOptimizerFaults:
         assert not (out / "metrics.csv").exists()
 
     def test_negative_step_is_runtime_error(self, tmp_path, capsys, saved_run):
-        cfg, ckpt = _broken_copy(saved_run, tmp_path, lambda tensors, meta: meta.update(step=-3))
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, _set_meta("step", -3))
         out = tmp_path / "resumed"
         capsys.readouterr()
         assert cli.main(["train", "--config", str(cfg), "--out", str(out),
                          "--resume", str(ckpt)]) == 2
         err = capsys.readouterr().err
-        assert "broken.bin" in err and "meta/step" in err
+        assert "broken.bin" in err and "metadata 'step'" in err
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("existed", [False, True], ids=["missing_out", "empty_out"])
     def test_refused_resume_leaves_out_for_a_plain_train(self, tmp_path, saved_run, existed):
-        cfg, ckpt = _broken_copy(saved_run, tmp_path, lambda tensors, meta: meta.update(step=-3))
+        cfg, ckpt = _broken_copy(saved_run, tmp_path, _set_meta("step", -3))
         out = tmp_path / "fresh"
         if existed:
             out.mkdir()

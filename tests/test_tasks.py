@@ -111,26 +111,40 @@ class TestCharLM:
         np.testing.assert_array_equal(flat, t.val_ids[:flat.size])
         np.testing.assert_array_equal(y.reshape(-1), t.val_ids[1:flat.size + 1])
 
-    @pytest.mark.parametrize("seq_len", [1, 10, 32, 33])
-    def test_val_windows_are_read_only_views_of_the_stacked_bytes(self, seq_len):
-        t = CharLMTask(TaskSpec(task="char_lm", seq_len=seq_len, seed=2))
-        l, n = seq_len, (len(t.val_ids) - 1) // seq_len
-        want_x = np.stack([t.val_ids[i * l:(i + 1) * l] for i in range(n)])
-        want_y = np.stack([t.val_ids[i * l + 1:(i + 1) * l + 1] for i in range(n)])
-        x, y = t.val_data()
-        for got, want in ((x, want_x), (y, want_y)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert np.shares_memory(got, t.val_ids)
-            with pytest.raises(ValueError, match="read-only"):
-                got[0, 0] = 0
-        assert t.val_ids.flags.writeable
-
     def test_too_long_seq_rejected(self):
         # the validation region holds a tenth of the bundled text
         seq_len = len(load_bundled_text()) // 10 + 1
         with pytest.raises(ValueError, match="too short"):
             CharLMTask(TaskSpec(task="char_lm", seq_len=seq_len, seed=0))
+
+
+def _val_views(task: str, seq_len: int):
+    """A task, the arrays its ``val_data`` must equal, and those it must view:
+    char_lm's windows of ``val_ids`` and the targets one further, or the
+    synthetic task's own ``val_tokens`` and ``val_labels``."""
+    if task == "char_lm":
+        t = CharLMTask(TaskSpec(task="char_lm", seq_len=seq_len, seed=2))
+        l, n = seq_len, (len(t.val_ids) - 1) // seq_len
+        want = (np.stack([t.val_ids[i * l:(i + 1) * l] for i in range(n)]),
+                np.stack([t.val_ids[i * l + 1:(i + 1) * l + 1] for i in range(n)]))
+        return t, want, (t.val_ids, t.val_ids)
+    t = SyntheticClusterTask(TaskSpec(seq_len=seq_len, seed=2))
+    return t, (t.val_tokens.copy(), t.val_labels.copy()), (t.val_tokens, t.val_labels)
+
+
+@pytest.mark.parametrize("task, seq_len", [
+    ("char_lm", 1), ("char_lm", 10), ("char_lm", 32), ("char_lm", 33),
+    ("synthetic_cluster", 4), ("synthetic_cluster", 32),
+])
+def test_val_windows_are_read_only_views_of_the_stacked_bytes(task, seq_len):
+    t, want, sources = _val_views(task, seq_len)
+    for got, expected, source in zip(t.val_data(), want, sources):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert np.shares_memory(got, source)
+        with pytest.raises(ValueError, match="read-only"):
+            got[(0,) * got.ndim] = 0
+    assert all(source.flags.writeable for source in sources)
 
 
 def test_build_task_dispatch():
